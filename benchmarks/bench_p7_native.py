@@ -7,7 +7,7 @@ selected with ``backend="native"``/``"auto"``.  Values are bit-for-bit
 identical across backends — the C kernels only produce int64 partials;
 float math stays in Python on both paths.
 
-Two experiments on a side=1024 Hilbert cell:
+Three experiments, two of them on a side=1024 Hilbert cell:
 
 * **batch encode** — ``curve.keys_of`` over 2^20 random points,
   throughput-normalized against the historical per-cell
@@ -17,6 +17,11 @@ Two experiments on a side=1024 Hilbert cell:
 * **NN block reduction** — the one-pass chunked NN metric set
   (``davg``/``dmax``/``lambdas``/``nn_mean``), numpy vs native
   backend.  Asserted >= 1.3x when the native kernels are available.
+* **box encode** — ``curve.key_slab(0, side)``, the native box codec
+  that writes a whole key grid from its bounds, against the
+  pure-NumPy reference ``curve.index(all_coords)`` on Hilbert 512².
+  Parity with ``index()`` is asserted for Z, Gray, Hilbert and snake;
+  the Hilbert speedup is asserted >= 3x when the kernels are available.
 
 On hosts without a C compiler the numbers are still recorded (the
 ``native`` rows fall back to numpy and say so in the JSON); only the
@@ -28,7 +33,10 @@ import time
 import numpy as np
 
 from repro import Universe
+from repro.curves.gray import GrayCurve
 from repro.curves.hilbert import HilbertCurve
+from repro.curves.snake import SnakeCurve
+from repro.curves.zcurve import ZCurve
 from repro.engine import native
 from repro.engine.context import MetricContext
 
@@ -42,6 +50,8 @@ N_POINTS = 1 << 20
 LOOP_POINTS = 2000
 MIN_ENCODE_SPEEDUP = 2.0
 MIN_REDUCTION_SPEEDUP = 1.3
+BOX_UNIVERSE = Universe.power_of_two(d=2, k=9)
+MIN_BOX_SPEEDUP = 3.0
 
 NATIVE_AVAILABLE = native.available()
 
@@ -161,4 +171,64 @@ def test_p7_native_nn_reduction(benchmark, results_writer):
     if NATIVE_AVAILABLE:
         assert speedup >= MIN_REDUCTION_SPEEDUP, (
             f"native speedup {speedup:.2f}x below {MIN_REDUCTION_SPEEDUP}x"
+        )
+
+
+def _best_of(fn, repeats: int = 3):
+    """``(result, best seconds)`` over ``repeats`` calls of ``fn``."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = fn()
+        best = min(best, time.perf_counter() - start)
+    return result, best
+
+
+def test_p7_box_encode(benchmark, results_writer):
+    """Acceptance: native key_slab(0, side) >= 3x index(all_coords)."""
+    cells = BOX_UNIVERSE.all_coords()
+    side = BOX_UNIVERSE.side
+    rows = []
+    parity = True
+    for cls in (HilbertCurve, ZCurve, GrayCurve, SnakeCurve):
+        curve = cls(BOX_UNIVERSE)
+        reference, t_index = _best_of(
+            lambda: curve.index(cells).reshape(BOX_UNIVERSE.shape, order="F")
+        )
+        if cls is HilbertCurve:  # the case pytest-benchmark records
+            run_once(benchmark, curve.key_slab, 0, side, "native")
+        grid, t_box = _best_of(lambda: curve.key_slab(0, side, "native"))
+        same = bool(np.array_equal(grid, reference))
+        parity = parity and same
+        rows.append((curve.name, t_index, t_box, same))
+    speedup = {name: t_index / t_box for name, t_index, t_box, _ in rows}
+    benchmark.extra_info["box_encode"] = {
+        "universe": str(BOX_UNIVERSE),
+        "native_available": NATIVE_AVAILABLE,
+        "index_ms": {name: round(t * 1e3, 2) for name, t, _, _ in rows},
+        "key_slab_ms": {name: round(t * 1e3, 2) for name, _, t, _ in rows},
+        "key_slab_ns_per_cell": {
+            name: round(t / BOX_UNIVERSE.n * 1e9, 2) for name, _, t, _ in rows
+        },
+        "speedup": {name: round(v, 1) for name, v in speedup.items()},
+        "bit_for_bit_parity": parity,
+    }
+    table = "".join(
+        f"{name:8s} index {t_index * 1e3:8.2f} ms   key_slab "
+        f"{t_box * 1e3:7.2f} ms ({t_box / BOX_UNIVERSE.n * 1e9:5.2f} "
+        f"ns/cell)   {t_index / t_box:6.1f}x   parity {same}\n"
+        for name, t_index, t_box, same in rows
+    )
+    results_writer(
+        "p7_box_encode",
+        f"P7 — whole-grid encode on {BOX_UNIVERSE}: index(all_coords) vs "
+        f"key_slab(0, side) (native kernels available: {NATIVE_AVAILABLE})"
+        f"\n\n{table}",
+    )
+    print(f"\nbox encode hilbert {speedup['hilbert']:.1f}x; parity={parity}")
+    assert parity
+    if NATIVE_AVAILABLE:
+        assert speedup["hilbert"] >= MIN_BOX_SPEEDUP, (
+            f"box encode speedup {speedup['hilbert']:.1f}x below "
+            f"{MIN_BOX_SPEEDUP}x"
         )

@@ -6,9 +6,20 @@ vectorized:
 
 * ``index(coords)`` — the paper's ``π(α)`` ("key" of a cell);
 * ``coords(index)`` — the inverse ``π^{-1}``;
+* ``keys_of`` / ``coords_of`` — the same two maps for large batches,
+  served by the native codecs when available;
+* ``key_slab(lo, hi)`` — the keys of the cells with ``x_0 ∈ [lo, hi)``,
+  the encode path of every chunked key-grid slab;
 * ``key_grid()``    — a dense ``(side,)*d`` array of keys, the workhorse
   representation for the exact stretch metrics;
 * ``order()``       — the cells listed in curve order (a (n, d) array).
+
+``index`` and ``coords`` are the pure-NumPy reference that every other
+path is tested against; ``key_grid()`` is built through ``index``.
+``key_slab`` writes keys straight from the slab bounds with a native
+box codec (Z, Gray, Hilbert, snake), slices the table of a
+:class:`PermutationCurve`, and otherwise encodes the slab's
+coordinates with ``keys_of``.
 
 Subclasses implement ``_index_impl`` (and optionally ``_coords_impl``);
 the base class handles validation, caching of the key grid, and a generic
@@ -20,7 +31,7 @@ from __future__ import annotations
 import abc
 import itertools
 import threading
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -120,6 +131,28 @@ class SpaceFillingCurve(abc.ABC):
     # ------------------------------------------------------------------
     # Dense representations
     # ------------------------------------------------------------------
+    def key_slab(self, lo: int, hi: int, backend: str = "auto") -> np.ndarray:
+        """Keys of the cells with ``x_0 ∈ [lo, hi)``: ``key_grid()[lo:hi]``.
+
+        A fresh C-contiguous int64 array of shape
+        ``(hi - lo,) + (side,) * (d - 1)``; the engine builds every
+        chunked key-grid slab here.  When the native backend has a box
+        codec for this curve the keys are written straight from the
+        slab bounds, with no coordinate array; otherwise the slab's
+        coordinates are encoded through :meth:`keys_of`.
+        """
+        side, d = self.universe.side, self.universe.d
+        lo, hi = _check_slab(lo, hi, side)
+        codec = self._native_codec(backend)
+        if codec is not None:
+            return codec.encode_box(lo, hi)
+        axes = [np.arange(lo, hi, dtype=np.int64)]
+        axes += [np.arange(side, dtype=np.int64)] * (d - 1)
+        mesh = np.meshgrid(*axes, indexing="ij")
+        coords = np.stack([m.reshape(-1) for m in mesh], axis=-1)
+        keys = self.keys_of(coords, backend=backend)
+        return keys.reshape((hi - lo,) + (side,) * (d - 1))
+
     def key_grid(self) -> np.ndarray:
         """Dense ``(side,)*d`` int64 array: ``key_grid[tuple(α)] = π(α)``.
 
@@ -202,6 +235,21 @@ class SpaceFillingCurve(abc.ABC):
         genuinely different mappings would silently alias their caches.
         """
         return None
+
+
+def _check_slab(lo: int, hi: int, side: int) -> Tuple[int, int]:
+    """``(lo, hi)`` as ints, or ``ValueError`` with the broken condition."""
+    for name, value in (("lo", lo), ("hi", hi)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(
+                f"slab bound {name} must be an int, got {type(value).__name__}"
+            )
+    lo, hi = int(lo), int(hi)
+    if not 0 <= lo <= hi <= side:
+        raise ValueError(
+            f"slab [{lo}, {hi}) must satisfy 0 <= lo <= hi <= side={side}"
+        )
+    return lo, hi
 
 
 def check_bijection(key_grid: np.ndarray, n: int) -> bool:
@@ -291,6 +339,11 @@ class PermutationCurve(SpaceFillingCurve):
         if self._deterministic:
             return None
         return ("instance", self._instance_token)
+
+    def key_slab(self, lo: int, hi: int, backend: str = "auto") -> np.ndarray:
+        """A copy of the defining table's planes ``[lo, hi)``."""
+        lo, hi = _check_slab(lo, hi, self.universe.side)
+        return self.key_grid()[lo:hi].copy()
 
     def _index_impl(self, coords: np.ndarray) -> np.ndarray:
         grid = self.key_grid()

@@ -133,6 +133,10 @@ class ReversedCurve(SpaceFillingCurve):
             points, backend=backend
         )
 
+    def key_slab(self, lo: int, hi: int, backend: str = "auto") -> np.ndarray:
+        slab = self.inner.key_slab(lo, hi, backend=backend)
+        return np.subtract(self.universe.n - 1, slab, out=slab)
+
     def coords_of(self, keys, backend: str = "auto") -> np.ndarray:
         arr = self.universe.validate_ranks(keys)
         return self.inner.coords_of(

@@ -923,13 +923,7 @@ class MetricContext:
         spilled = self._spill_grid_view()
         if spilled is not None:
             return spilled[lo:hi]
-        side, d = self.universe.side, self.universe.d
-        axes = [np.arange(lo, hi, dtype=np.int64)]
-        axes += [np.arange(side, dtype=np.int64)] * (d - 1)
-        mesh = np.meshgrid(*axes, indexing="ij")
-        coords = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-        keys = self.curve.keys_of(coords, backend=self.backend)
-        return keys.reshape((hi - lo,) + (side,) * (d - 1))
+        return self.curve.key_slab(lo, hi, backend=self.backend)
 
     def _key_slab(self, lo: int, hi: int) -> np.ndarray:
         """Key-grid slab for ``x_0 ∈ [lo, hi)``, LRU-cached per block.

@@ -2,12 +2,13 @@
 
 The hot block paths of the metric engine — the NN pair fold, slab
 neighbor counts, window block maxima, and the registry curves'
-encode/decode — have C implementations in ``native_kernels.c`` (shipped
-in-tree next to this module).  The first use on a machine compiles them
-with the system C compiler into a shared library cached under a
-``sha256(source + compiler)`` key, so rebuilds happen only when the
-source or toolchain changes; the library is loaded through ``ctypes``
-and degrades gracefully to the NumPy kernels when no compiler exists.
+encode/decode and key-slab box encode — have C implementations in
+``native_kernels.c`` (shipped in-tree next to this module).  The first
+use on a machine compiles them with the system C compiler into a
+shared library cached under a ``sha256(source + compiler)`` key, so
+rebuilds happen only when the source or toolchain changes; the library
+is loaded through ``ctypes`` and degrades gracefully to the NumPy
+kernels when no compiler exists.
 
 Backend selection (``resolve_backend``) accepts ``"numpy"``,
 ``"native"`` and ``"auto"``: ``auto`` uses the native kernels whenever
@@ -236,6 +237,10 @@ class NativeKernels:
             fn = getattr(lib, name)
             fn.argtypes = [_i64_array, _i64, _i64, _i64, _i64_array]
             fn.restype = None
+        for stem in ("z", "gray", "hilbert", "snake"):
+            fn = getattr(lib, f"repro_{stem}_encode_box")
+            fn.argtypes = [_i64, _i64, _i64, _i64, _i64, _i64_array]
+            fn.restype = None
         self._lib = lib
 
     # -- block reductions ----------------------------------------------
@@ -289,9 +294,10 @@ class NativeKernels:
         return int(self._lib.repro_delta_fold(a, b, a.size))
 
     # -- curve encode/decode -------------------------------------------
-    def _codec(self, stem: str, arg: int):
+    def _codec(self, stem: str, arg: int, d: int, side: int) -> "_Codec":
         encode = getattr(self._lib, f"repro_{stem}_encode")
         decode = getattr(self._lib, f"repro_{stem}_decode")
+        encode_box = getattr(self._lib, f"repro_{stem}_encode_box")
 
         def encode_fn(coords: np.ndarray) -> np.ndarray:
             flat = np.ascontiguousarray(coords, dtype=np.int64)
@@ -300,28 +306,41 @@ class NativeKernels:
             encode(flat, m, flat.shape[-1], arg, keys)
             return keys
 
-        def decode_fn(keys: np.ndarray, d: int) -> np.ndarray:
+        def decode_fn(keys: np.ndarray) -> np.ndarray:
             flat = np.ascontiguousarray(keys, dtype=np.int64)
             coords = np.empty(keys.shape + (d,), dtype=np.int64)
             decode(flat, flat.size, d, arg, coords)
             return coords
 
-        return encode_fn, decode_fn
+        def box_fn(lo: int, hi: int) -> np.ndarray:
+            keys = np.empty((hi - lo,) + (side,) * (d - 1), dtype=np.int64)
+            encode_box(lo, hi, side, d, arg, keys)
+            return keys
+
+        return _Codec(encode_fn, decode_fn, box_fn)
 
 
 class _Codec:
     """Batch encoder/decoder of one curve family on one universe."""
 
-    def __init__(self, encode_fn, decode_fn, d: int) -> None:
+    def __init__(self, encode_fn, decode_fn, box_fn) -> None:
         self._encode = encode_fn
         self._decode = decode_fn
-        self._d = d
+        self._box = box_fn
 
     def encode(self, coords: np.ndarray) -> np.ndarray:
         return self._encode(coords)
 
     def decode(self, keys: np.ndarray) -> np.ndarray:
-        return self._decode(keys, self._d)
+        return self._decode(keys)
+
+    def encode_box(self, lo: int, hi: int) -> np.ndarray:
+        """Keys of the cells with ``x_0 ∈ [lo, hi)``, shaped as a slab.
+
+        No coordinate array is built; the caller has checked
+        ``0 <= lo <= hi <= side``.
+        """
+        return self._box(lo, hi)
 
 
 def load_kernels() -> Optional[NativeKernels]:
@@ -421,8 +440,7 @@ def encoder_for(curve) -> Optional[_Codec]:
     if type(curve) is SnakeCurve:
         if side < 2 or universe.n > 2**62:
             return None
-        encode_fn, decode_fn = kernels._codec("snake", side)
-        return _Codec(encode_fn, decode_fn, d)
+        return kernels._codec("snake", side, d, side)
     # Exact types only: a subclass may change the mapping.
     stem = {ZCurve: "z", GrayCurve: "gray", HilbertCurve: "hilbert"}.get(
         type(curve)
@@ -434,8 +452,7 @@ def encoder_for(curve) -> Optional[_Codec]:
             return None
         if k < 1 or k * d > 62:
             return None
-        encode_fn, decode_fn = kernels._codec(stem, k)
-        return _Codec(encode_fn, decode_fn, d)
+        return kernels._codec(stem, k, d, side)
     return None
 
 

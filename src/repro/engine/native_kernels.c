@@ -346,3 +346,222 @@ EXPORT void repro_snake_decode(
         }
     }
 }
+
+/* ------------------------------------------------------------------ */
+/* Box encode                                                          */
+/* ------------------------------------------------------------------ */
+
+/* The box kernels write the key of every cell with x_0 in [lo, hi)
+ * into `out` in C order (axis d-1 fastest) — the layout of
+ * SpaceFillingCurve.key_slab — without a coordinate array.  They walk
+ * the box row by row: a row fixes x_0..x_{d-2} in X[] and spans axis
+ * d-1, so the per-row part of a key is computed once and each cell
+ * adds only its last coordinate.  For d == 1 the single row spans
+ * [lo, hi) of axis 0.  The Python side guarantees 0 <= lo <= hi <= side
+ * and the same k / side limits as the point codecs above. */
+
+/* Set up the row walk; returns the number of rows.  Row cells take
+ * last coordinates first, first + 1, ..., first + width - 1. */
+static int64_t box_rows(
+    int64_t lo, int64_t hi, int64_t side, int64_t d,
+    int64_t *X, int64_t *first, int64_t *width)
+{
+    for (int64_t i = 0; i < d; ++i) X[i] = 0;
+    X[0] = lo;
+    if (d == 1) {
+        *first = lo;
+        *width = hi - lo;
+        return 1;
+    }
+    *first = 0;
+    *width = side;
+    int64_t rows = hi - lo;
+    for (int64_t i = 1; i < d - 1; ++i) rows *= side;
+    return rows;
+}
+
+/* Advance the row odometer X[0..d-2] (X[d-1] stays 0 for d >= 2). */
+static inline void next_row(int64_t *X, int64_t d, int64_t side)
+{
+    for (int64_t i = d - 2; i > 0; --i) {
+        if (++X[i] < side) return;
+        X[i] = 0;
+    }
+    ++X[0];
+}
+
+/* Bits of v spread to the Morton slots of axis d-1 (key bit b*d). */
+static inline uint64_t spread_last(int64_t v, int64_t d, int64_t k)
+{
+    uint64_t s = 0;
+    for (int64_t b = 0; b < k; ++b)
+        s |= (uint64_t)((v >> b) & 1) << (b * d);
+    return s;
+}
+
+/* Morton keys of one row: the row's axes are interleaved once, and the
+ * last axis' spread bits advance by the dilated-integer increment
+ * s' = ((s | ~mask) + 1) & mask.  `gray` applies the inverse Gray code
+ * of repro_gray_encode to each key. */
+static void morton_box(
+    int64_t lo, int64_t hi, int64_t side, int64_t d, int64_t k,
+    int gray, int64_t *out)
+{
+    int64_t X[REPRO_MAX_D], first, width;
+    int64_t rows = box_rows(lo, hi, side, d, X, &first, &width);
+    uint64_t mask = spread_last(side - 1, d, k);
+    for (int64_t r = 0; r < rows; ++r, out += width) {
+        uint64_t row = d == 1 ? 0 : (uint64_t)interleave_point(X, d, k);
+        uint64_t s = spread_last(first, d, k);
+        for (int64_t c = 0; c < width; ++c) {
+            int64_t key = (int64_t)(row | s);
+            out[c] = gray ? gray_decode64(key) : key;
+            s = ((s | ~mask) + 1) & mask;
+        }
+        next_row(X, d, side);
+    }
+}
+
+EXPORT void repro_z_encode_box(
+    int64_t lo, int64_t hi, int64_t side, int64_t d, int64_t k,
+    int64_t *out)
+{
+    morton_box(lo, hi, side, d, k, 0, out);
+}
+
+EXPORT void repro_gray_encode_box(
+    int64_t lo, int64_t hi, int64_t side, int64_t d, int64_t k,
+    int64_t *out)
+{
+    morton_box(lo, hi, side, d, k, 1, out);
+}
+
+/* Morton spreads of up to 31 (resp. 21) bits to every 2nd (3rd) bit. */
+static inline uint64_t part1by1(uint64_t x)
+{
+    x &= 0x00000000FFFFFFFFull;
+    x = (x | (x << 16)) & 0x0000FFFF0000FFFFull;
+    x = (x | (x << 8)) & 0x00FF00FF00FF00FFull;
+    x = (x | (x << 4)) & 0x0F0F0F0F0F0F0F0Full;
+    x = (x | (x << 2)) & 0x3333333333333333ull;
+    x = (x | (x << 1)) & 0x5555555555555555ull;
+    return x;
+}
+
+static inline uint64_t part1by2(uint64_t x)
+{
+    x &= 0x00000000001FFFFFull;
+    x = (x | (x << 32)) & 0x001F00000000FFFFull;
+    x = (x | (x << 16)) & 0x001F0000FF0000FFull;
+    x = (x | (x << 8)) & 0x100F00F00F00F00Full;
+    x = (x | (x << 4)) & 0x10C30C30C30C30C3ull;
+    x = (x | (x << 2)) & 0x1249249249249249ull;
+    return x;
+}
+
+/* axes_to_transpose_point + interleave_point for d == 2 and d == 3,
+ * with the coordinates in scalars the compiler keeps in registers and
+ * the branches of the undo loop turned into masks (m is all ones when
+ * the tested bit is set, so exactly one of the two updates acts).  The
+ * closing XOR t — (Q - 1) summed over the set bits Q > 1 of the last
+ * axis — is the inverse Gray code of that axis shifted right by one. */
+static inline int64_t hilbert_key2(uint64_t x0, uint64_t x1, int64_t k)
+{
+    for (int64_t q = k - 1; q >= 1; --q) {
+        uint64_t P = ((uint64_t)1 << q) - 1, m, t;
+        x0 ^= P & (0 - ((x0 >> q) & 1));
+        m = 0 - ((x1 >> q) & 1);
+        x0 ^= P & m;
+        t = (x0 ^ x1) & P & ~m;
+        x0 ^= t;
+        x1 ^= t;
+    }
+    x1 ^= x0;
+    uint64_t t = (uint64_t)gray_decode64((int64_t)(x1 >> 1));
+    x0 ^= t;
+    x1 ^= t;
+    return (int64_t)((part1by1(x0) << 1) | part1by1(x1));
+}
+
+static inline int64_t hilbert_key3(
+    uint64_t x0, uint64_t x1, uint64_t x2, int64_t k)
+{
+    for (int64_t q = k - 1; q >= 1; --q) {
+        uint64_t P = ((uint64_t)1 << q) - 1, m, t;
+        x0 ^= P & (0 - ((x0 >> q) & 1));
+        m = 0 - ((x1 >> q) & 1);
+        x0 ^= P & m;
+        t = (x0 ^ x1) & P & ~m;
+        x0 ^= t;
+        x1 ^= t;
+        m = 0 - ((x2 >> q) & 1);
+        x0 ^= P & m;
+        t = (x0 ^ x2) & P & ~m;
+        x0 ^= t;
+        x2 ^= t;
+    }
+    x1 ^= x0;
+    x2 ^= x1;
+    uint64_t t = (uint64_t)gray_decode64((int64_t)(x2 >> 1));
+    x0 ^= t;
+    x1 ^= t;
+    x2 ^= t;
+    return (int64_t)(
+        (part1by2(x0) << 2) | (part1by2(x1) << 1) | part1by2(x2));
+}
+
+EXPORT void repro_hilbert_encode_box(
+    int64_t lo, int64_t hi, int64_t side, int64_t d, int64_t k,
+    int64_t *out)
+{
+    int64_t X[REPRO_MAX_D], Y[REPRO_MAX_D], first, width;
+    int64_t rows = box_rows(lo, hi, side, d, X, &first, &width);
+    for (int64_t r = 0; r < rows; ++r, out += width) {
+        if (d == 2) {
+            for (int64_t c = 0; c < width; ++c)
+                out[c] = hilbert_key2(X[0], first + c, k);
+        } else if (d == 3) {
+            for (int64_t c = 0; c < width; ++c)
+                out[c] = hilbert_key3(X[0], X[1], first + c, k);
+        } else {
+            for (int64_t c = 0; c < width; ++c) {
+                for (int64_t i = 0; i < d - 1; ++i) Y[i] = X[i];
+                Y[d - 1] = first + c;
+                axes_to_transpose_point(Y, d, k);
+                out[c] = interleave_point(Y, d, k);
+            }
+        }
+        next_row(X, d, side);
+    }
+}
+
+/* Snake keys of one row: along axis d-1 (the most significant digit)
+ * the key steps by top = side^(d-1), and every lower digit flips
+ * direction with the parity of x_{d-1}.  Flipping all lower digits
+ * maps their part a to (top - 1) - a, so each row needs one pass over
+ * its lower axes.  `arg` is the side, as for repro_snake_encode. */
+EXPORT void repro_snake_encode_box(
+    int64_t lo, int64_t hi, int64_t side, int64_t d, int64_t arg,
+    int64_t *out)
+{
+    (void)arg;
+    int64_t X[REPRO_MAX_D], first, width;
+    int64_t rows = box_rows(lo, hi, side, d, X, &first, &width);
+    int64_t top = 1;
+    for (int64_t i = 0; i < d - 1; ++i) top *= side;
+    for (int64_t r = 0; r < rows; ++r, out += width) {
+        int64_t even = 0, parity = 0, weight = top;
+        for (int64_t axis = d - 2; axis >= 0; --axis) {
+            int64_t digit = X[axis];
+            weight /= side;
+            even += ((parity % 2 == 0) ? digit : side - 1 - digit) * weight;
+            parity += digit;
+        }
+        int64_t odd = top - 1 - even;
+        for (int64_t c = 0; c < width; ++c) {
+            int64_t x = first + c;
+            out[c] = x * top + ((x & 1) ? odd : even);
+        }
+        next_row(X, d, side);
+    }
+}

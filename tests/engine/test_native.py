@@ -8,6 +8,9 @@ reference exactly (``==``, never ``approx``).  These tests exercise
   non-power-of-two sides, degenerate ``side=1`` grids and transform
   wrappers) against the independent :meth:`index`/:meth:`coords`
   implementations;
+* ``key_slab`` parity (native box codec, table slice and NumPy
+  fallback) against ``index`` for every curve, d, side and slab shape,
+  plus its input checks;
 * the metric parity matrix {dense, chunked, threaded} x
   {numpy, native};
 * backend resolution, ``REPRO_NATIVE=0``, and the warn-once fallback
@@ -25,7 +28,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.curves.registry import curves_for_universe
+from repro.curves.registry import available_curves, curves_for_universe
 from repro.engine import native
 from repro.engine.context import MetricContext
 from repro.engine.sweep import CurveSpec, Sweep
@@ -151,16 +154,17 @@ class TestBatchCodecParity:
         "universe", PARITY_UNIVERSES, ids=lambda u: f"{u.d}x{u.side}"
     )
     def test_key_grid_parity(self, universe):
-        """The batch encoder reproduces the dense reference key grid."""
+        """The batch encoder and the key grid both reproduce the
+        pure-NumPy ``index`` reference grid."""
         cells = universe.all_coords()
         for name, curve in curves_for_universe(universe).items():
-            grid = np.ascontiguousarray(
-                curve.keys_of(cells, backend="native").reshape(
-                    universe.shape, order="F"
-                )
+            reference = curve.index(cells).reshape(universe.shape, order="F")
+            grid = curve.keys_of(cells, backend="native").reshape(
+                universe.shape, order="F"
             )
+            np.testing.assert_array_equal(grid, reference, err_msg=name)
             np.testing.assert_array_equal(
-                grid, curve.key_grid(), err_msg=name
+                curve.key_grid(), reference, err_msg=name
             )
 
     def test_transform_curve_routes_through_inner(self, u2_8):
@@ -188,6 +192,168 @@ class TestBatchCodecParity:
         u_one = Universe(d=2, side=1)
         for name, curve in curves_for_universe(u_one).items():
             assert native.encoder_for(curve) is None, name
+
+
+# ----------------------------------------------------------------------
+# Slab encode parity: every curve x d x side x slab x backend
+# ----------------------------------------------------------------------
+SLAB_UNIVERSES = [
+    Universe(d=d, side=side) for d in range(1, 6) for side in (1, 2, 3, 5, 8)
+]
+
+
+def _slab_curves(universe: Universe) -> dict:
+    """Every registered curve on ``universe``, hidden wrappers included,
+    plus wrappers around an any-side inner curve."""
+    names = available_curves(include_hidden=True)
+    curves = curves_for_universe(universe, names=names)
+    for spec in ("reversed:inner=snake", "reversed:inner=random",
+                 "reflected:inner=simple", "axisperm:inner=snake"):
+        if spec.startswith("axisperm") and universe.d != 2:
+            continue
+        curves[spec] = CurveSpec.parse(spec).make(universe)
+    return curves
+
+
+def _slab_bounds(side: int) -> list:
+    """Full, partial (first, middle, last planes) and empty slabs."""
+    bounds = {(0, side), (0, 0), (side, side), (0, 1), (side - 1, side),
+              (side // 2, side), (1, side - 1), (side // 2, side // 2)}
+    return sorted((lo, hi) for lo, hi in bounds if 0 <= lo <= hi <= side)
+
+
+class TestKeySlabParity:
+    @pytest.mark.parametrize(
+        "universe", SLAB_UNIVERSES, ids=lambda u: f"{u.d}x{u.side}"
+    )
+    def test_every_curve_slab_equals_index(self, universe):
+        """``key_slab`` (native box codec, table slice or NumPy
+        fallback) equals the pure-NumPy ``index`` over all cells."""
+        cells = universe.all_coords()
+        tail = (universe.side,) * (universe.d - 1)
+        for name, curve in _slab_curves(universe).items():
+            reference = curve.index(cells).reshape(universe.shape, order="F")
+            for backend in ("numpy", "native"):
+                for lo, hi in _slab_bounds(universe.side):
+                    slab = curve.key_slab(lo, hi, backend=backend)
+                    msg = f"{name}/{backend}/[{lo}:{hi}]"
+                    assert slab.dtype == np.int64, msg
+                    assert slab.shape == (hi - lo,) + tail, msg
+                    assert slab.flags.c_contiguous, msg
+                    np.testing.assert_array_equal(
+                        slab, reference[lo:hi], err_msg=msg
+                    )
+
+    def test_permutation_curve_slab_is_a_table_copy(self, u2_8):
+        curve = CurveSpec.parse("random:seed=5").make(u2_8)
+        slab = curve.key_slab(2, 5)
+        np.testing.assert_array_equal(slab, curve.key_grid()[2:5])
+        assert not np.shares_memory(slab, curve.key_grid())
+        slab[...] = -1  # the caller owns the copy
+        assert curve.key_grid().min() == 0
+
+    def test_permutation_curve_slab_skips_coordinates(
+        self, u2_8, monkeypatch
+    ):
+        curve = CurveSpec.parse("random:seed=5").make(u2_8)
+
+        def no_lookup(*args, **kwargs):
+            raise AssertionError("table slabs must not encode coordinates")
+
+        monkeypatch.setattr(curve, "keys_of", no_lookup)
+        monkeypatch.setattr(curve, "_index_impl", no_lookup)
+        assert curve.key_slab(0, 8).shape == u2_8.shape
+
+    @pytest.mark.parametrize("inner", ["hilbert", "random:seed=2", "snake"])
+    def test_reversed_curve_slab_equals_index(self, u2_8, inner):
+        curve = CurveSpec.parse(f"reversed:inner={inner}").make(u2_8)
+        reference = curve.index(u2_8.all_coords()).reshape(
+            u2_8.shape, order="F"
+        )
+        for backend in ("numpy", "native"):
+            np.testing.assert_array_equal(
+                curve.key_slab(3, 7, backend=backend), reference[3:7]
+            )
+
+    @requires_native
+    def test_box_codec_engages_without_coordinates(self, u2_8, monkeypatch):
+        """The native path writes keys from the slab bounds alone: it
+        never calls the point encoder or the coordinate validator."""
+        curve = CurveSpec.parse("hilbert").make(u2_8)
+        expected = curve.index(u2_8.all_coords()).reshape(
+            u2_8.shape, order="F"
+        )
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("box encode must not build coordinates")
+
+        monkeypatch.setattr(curve, "keys_of", forbidden)
+        monkeypatch.setattr(Universe, "validate_coords", forbidden)
+        np.testing.assert_array_equal(
+            curve.key_slab(0, 8, backend="native"), expected
+        )
+
+
+class TestKeySlabInputs:
+    @pytest.mark.parametrize("lo, hi", [(0.0, 4), (0, "4"), (None, 4),
+                                        (True, 4), (0, np.float64(4))])
+    def test_non_int_bounds_raise(self, u2_8, lo, hi):
+        curve = CurveSpec.parse("hilbert").make(u2_8)
+        with pytest.raises(ValueError, match="must be an int"):
+            curve.key_slab(lo, hi)
+
+    @pytest.mark.parametrize("lo, hi", [(-1, 4), (0, 9), (5, 4), (9, 9)])
+    def test_out_of_range_bounds_raise(self, u2_8, lo, hi):
+        for spec in ("hilbert", "random", "reversed:inner=z"):
+            curve = CurveSpec.parse(spec).make(u2_8)
+            for backend in ("numpy", "native"):
+                with pytest.raises(ValueError, match="0 <= lo <= hi"):
+                    curve.key_slab(lo, hi, backend=backend)
+
+    def test_numpy_integer_bounds_accepted(self, u2_8):
+        curve = CurveSpec.parse("z").make(u2_8)
+        np.testing.assert_array_equal(
+            curve.key_slab(np.int64(1), np.int32(3)), curve.key_slab(1, 3)
+        )
+
+    @pytest.mark.parametrize("backend", ["numpy", "native"])
+    def test_empty_slab_shape(self, backend):
+        universe = Universe(d=3, side=4)
+        for spec in ("hilbert", "snake", "random", "reversed:inner=gray"):
+            curve = CurveSpec.parse(spec).make(universe)
+            slab = curve.key_slab(2, 2, backend=backend)
+            assert slab.shape == (0, 4, 4), spec
+            assert slab.dtype == np.int64, spec
+
+    @pytest.mark.parametrize("backend", ["numpy", "native"])
+    def test_one_dimensional_universe(self, backend):
+        universe = Universe(d=1, side=16)
+        for spec in ("hilbert", "z", "gray", "snake", "simple"):
+            curve = CurveSpec.parse(spec).make(universe)
+            reference = curve.index(universe.all_coords())
+            np.testing.assert_array_equal(
+                curve.key_slab(3, 11, backend=backend), reference[3:11]
+            )
+
+    def test_single_cell_side_takes_numpy_fallback(self):
+        universe = Universe(d=3, side=1)
+        for spec in ("hilbert", "z", "gray", "snake"):
+            curve = CurveSpec.parse(spec).make(universe)
+            assert native.encoder_for(curve) is None, spec
+            slab = curve.key_slab(0, 1, backend="native")
+            assert slab.shape == (1, 1, 1) and slab[0, 0, 0] == 0, spec
+
+    def test_wide_keys_take_numpy_fallback(self):
+        """``k * d > 62`` has no native codec: the NumPy path handles
+        the slab and raises its own key-width error."""
+        universe = Universe(d=9, side=128)  # k * d = 63
+        for spec in ("z", "gray", "hilbert"):
+            curve = CurveSpec.parse(spec).make(universe)
+            assert native.encoder_for(curve) is None, spec
+            with pytest.raises(ValueError, match="exceeds int64"):
+                curve.index(np.empty((0, 9), dtype=np.int64))
+            with pytest.raises(ValueError, match="exceeds int64"):
+                curve.key_slab(0, 0, backend="native")
 
 
 # ----------------------------------------------------------------------
