@@ -15,11 +15,11 @@ vectorized:
 * ``order()``       — the cells listed in curve order (a (n, d) array).
 
 ``index`` and ``coords`` are the pure-NumPy reference that every other
-path is tested against; ``key_grid()`` is built through ``index``.
-``key_slab`` writes keys straight from the slab bounds with a native
-box codec (Z, Gray, Hilbert, snake), slices the table of a
-:class:`PermutationCurve`, and otherwise encodes the slab's
-coordinates with ``keys_of``.
+path is tested against.  ``key_slab`` writes keys straight from the
+slab bounds with a native box codec (Z, Gray, Hilbert, snake), slices
+the table of a :class:`PermutationCurve`, and otherwise encodes the
+slab's coordinates with ``keys_of``; ``key_grid()`` is the cached
+whole-grid slab ``key_slab(0, side)``.
 
 Subclasses implement ``_index_impl`` (and optionally ``_coords_impl``);
 the base class handles validation, caching of the key grid, and a generic
@@ -153,21 +153,17 @@ class SpaceFillingCurve(abc.ABC):
         keys = self.keys_of(coords, backend=backend)
         return keys.reshape((hi - lo,) + (side,) * (d - 1))
 
-    def key_grid(self) -> np.ndarray:
+    def key_grid(self, backend: str = "auto") -> np.ndarray:
         """Dense ``(side,)*d`` int64 array: ``key_grid[tuple(α)] = π(α)``.
 
         Cached; this is the input to every exact stretch computation.
+        Built as ``key_slab(0, side, backend)``; ``backend`` only picks
+        the encoder of the first call, never the values.
         """
         if self._key_grid_cache is None:
-            coords = self.universe.all_coords()
-            keys = self.index(coords)
-            # keys are in rank (Fortran) order; reshape accordingly.  The
-            # F-ordered reshape may be a view of `keys`, so materialize a
-            # C-contiguous copy for cache friendliness downstream.
-            grid = np.ascontiguousarray(
-                keys.reshape(self.universe.shape, order="F")
+            self._key_grid_cache = self.key_slab(
+                0, self.universe.side, backend=backend
             )
-            self._key_grid_cache = grid
         return self._key_grid_cache
 
     def order(self) -> np.ndarray:

@@ -36,6 +36,7 @@ HOT_KERNELS: Dict[str, FrozenSet[str]] = {
         {
             "slab_neighbor_counts",
             "accumulate_block_pairs",
+            "dense_slab_views",
             "nn_block_reduction",
         }
     ),

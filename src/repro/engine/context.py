@@ -35,6 +35,9 @@ produced as iterators of fixed-size blocks
 in the same ``max_bytes`` LRU store, and every metric method reduces
 block-wise with values bit-for-bit equal to the dense path (see
 :mod:`repro.engine.chunked` for how that equality is engineered).
+Dense mode runs the same block reduction for its NN scalars, over
+zero-copy slabs of its key grid, so serial ``davg`` / ``dmax`` /
+``nn_mean`` / ``lambda_sums`` have one code path in both modes.
 Memory model: ``max_bytes`` bounds what is *retained*, ``chunk_cells``
 bounds what is *materialized at once*.  Methods that inherently return a
 dense ``O(n)`` array raise in chunked mode and name the block iterator
@@ -102,7 +105,11 @@ from repro.core.allpairs import (
 )
 from repro.core.lower_bounds import davg_lower_bound
 from repro.curves.base import SpaceFillingCurve
-from repro.grid.neighbors import axis_pair_index_arrays, neighbor_count_grid
+from repro.grid.neighbors import (
+    axis_pair_index_arrays,
+    neighbor_count_grid,
+    nn_pair_count,
+)
 
 __all__ = [
     "CacheStats",
@@ -677,15 +684,17 @@ class MetricContext:
     def key_grid(self) -> np.ndarray:
         """The curve's dense key grid (built once per curve).
 
-        Returned frozen like every other cached array — but as a
-        read-only *view* of the curve's own cache, so the curve's
-        public ``key_grid()`` (which predates the engine and stays
-        writable) is untouched, no bytes are copied, and the store's
-        budget accounting is unchanged.
+        Encoded by ``curve.key_slab(0, side)`` on this context's
+        backend (the native box codec when it has one).  Returned
+        frozen like every other cached array — but as a read-only
+        *view* of the curve's own cache, so the curve's public
+        ``key_grid()`` (which predates the engine and stays writable)
+        is untouched, no bytes are copied, and the store's budget
+        accounting is unchanged.
         """
         self._require_dense("key_grid", "iter_key_slabs()")
         return self._cached(
-            "key_grid", lambda: self.curve.key_grid().view()
+            "key_grid", lambda: self.curve.key_grid(self.backend).view()
         )
 
     def order(self) -> np.ndarray:
@@ -1028,34 +1037,31 @@ class MetricContext:
             b = self.curve.coords_of(idx + window, backend=self.backend)
             yield t0, t1, a, b
 
-    def _chunked_nn_stats(self) -> dict:
-        """Memoized one-pass NN reduction (chunked mode only)."""
+    def _nn_stats(self) -> dict:
+        """Memoized one-pass NN reduction behind every NN scalar.
+
+        One pass produces ``davg``, ``dmax``, the ``Λ`` sums and the
+        NN-pair sum.  Serial contexts, dense or chunked, run
+        :func:`repro.engine.chunked.nn_block_reduction`; ``threads > 1``
+        runs :func:`repro.engine.threads.threaded_nn_reduction`, with
+        bit-for-bit equal values.
+        """
+        if self.threaded:
+            from repro.engine.threads import threaded_nn_reduction
+
+            return self._scalar(
+                ("threaded_nn",), lambda: threaded_nn_reduction(self)
+            )
         from repro.engine.chunked import nn_block_reduction
 
         return self._scalar(
             ("chunked_nn",), lambda: nn_block_reduction(self)
         )
 
-    def _threaded_nn_stats(self) -> dict:
-        """Memoized thread-parallel NN reduction (``threads > 1``).
-
-        One block-parallel pass produces every NN scalar (``davg``,
-        ``dmax``, ``Λ`` sums, NN-pair sum) with values bit-for-bit
-        equal to the serial paths; see
-        :func:`repro.engine.threads.threaded_nn_reduction`.
-        """
-        from repro.engine.threads import threaded_nn_reduction
-
-        return self._scalar(
-            ("threaded_nn",), lambda: threaded_nn_reduction(self)
-        )
-
     # ------------------------------------------------------------------
     # Per-cell grids
     # ------------------------------------------------------------------
-    def _per_cell_blockwise(
-        self,
-    ) -> tuple[np.ndarray, np.ndarray, list]:
+    def _per_cell_blockwise(self) -> tuple[np.ndarray, np.ndarray]:
         """One slab pass assembling the dense per-cell sum/max grids.
 
         The chunked-mode backend of the per-cell exports, and the
@@ -1069,9 +1075,7 @@ class MetricContext:
         pair core of the serial and threaded NN reductions) and handles
         each axis-0 boundary pair against a carried plane.  All updates
         are integer scatter-adds and maxima — order-free — so both grids
-        equal the dense path bit-for-bit.  The per-axis ``Λ`` tallies
-        fall out of the same pass (boundary pairs are folded into axis
-        0), so callers can seed ``lambda_sums`` for free.
+        equal the dense path bit-for-bit.
         """
         from repro.engine.chunked import accumulate_block_pairs
         from repro.engine.threads import ScratchBuffers
@@ -1080,7 +1084,7 @@ class MetricContext:
         d, side = universe.d, universe.side
         sums = np.zeros(universe.shape, dtype=np.int64)
         best = np.zeros(universe.shape, dtype=np.int64)
-        lambdas = [0] * d
+        lambdas = [0] * d  # the pair fold tallies Λ; unused here
         scratch = ScratchBuffers()
         plane_shape = (1,) + (side,) * (d - 1)
         prev_keys = None
@@ -1099,7 +1103,6 @@ class MetricContext:
                 boundary = scratch.take("boundary", plane_shape, np.int64)
                 np.subtract(slab[:1], prev_keys, out=boundary)
                 np.abs(boundary, out=boundary)
-                lambdas[0] += int(boundary.sum())
                 sums[lo - 1 : lo] += boundary
                 sums[lo : lo + 1] += boundary
                 np.maximum(
@@ -1109,35 +1112,31 @@ class MetricContext:
                     best[lo : lo + 1], boundary, out=best[lo : lo + 1]
                 )
             prev_keys = np.ascontiguousarray(slab[-1:])
-        return sums, best, lambdas
+        return sums, best
 
     def _per_cell_grids(self) -> tuple[np.ndarray, np.ndarray]:
         """Cached ``(sums, best)`` grids from the blockwise single pass.
 
         Both grids come out of one slab walk, so they are computed (and
-        cached) together under their usual store keys.  The pass also
-        yields the per-axis ``Λ`` sums; in dense mode they are seeded
-        into the store under ``lambda_sums`` so a later
-        :meth:`lambda_sums` call costs nothing extra.
+        cached) together under their usual store keys.
         """
         sums = self._store.peek("per_cell_sums")
         best = self._store.peek("per_cell_max")
         if sums is None or best is None:
-            sums, best, lambdas = self._per_cell_blockwise()
-            computed_sums, computed_best = sums, best
+            computed_sums, computed_best = self._per_cell_blockwise()
             sums = self._store.get_or_compute(
                 "per_cell_sums", lambda: computed_sums
             )
             best = self._store.get_or_compute(
                 "per_cell_max", lambda: computed_best
             )
-            if not self.chunked and self._store.peek("lambda_sums") is None:
-                lam = np.array(lambdas, dtype=np.int64)
-                self._store.get_or_compute("lambda_sums", lambda: lam)
         return sums, best
 
     def per_cell_stretch_sums(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-cell ``(Σ_{β∈N(α)} ∆π(α,β), |N(α)|)`` as dense grids.
+
+        An export for callers that want the grids; no scalar metric
+        reads them.
 
         Works in chunked mode as well — the grids are assembled slab by
         slab without dense intermediates (see :meth:`_per_cell_blockwise`
@@ -1167,6 +1166,8 @@ class MetricContext:
 
         On a degenerate universe (``side == 1``: no NN pairs) the
         per-cell average over the empty neighbor set is defined as 0.
+        A per-cell export only: :meth:`davg` streams the same values
+        through the block NN reduction and never builds this grid.
         """
         sums, counts = self.per_cell_stretch_sums()
         if self.universe.side < 2:
@@ -1185,7 +1186,8 @@ class MetricContext:
         maxima are order-free, so the grid matches the dense path
         bit-for-bit); the result is inherently ``O(n)``.  The native
         backend routes the dense mode through the same fused pass (see
-        :meth:`per_cell_stretch_sums`).
+        :meth:`per_cell_stretch_sums`).  A per-cell export only:
+        :meth:`dmax` comes from the block NN reduction.
         """
         if self.chunked or self.kernels is not None:
             return self._per_cell_grids()[1]
@@ -1296,115 +1298,44 @@ class MetricContext:
             zeros = np.zeros(self.universe.d, dtype=np.int64)
             zeros.flags.writeable = False
             return zeros
-        if self.threaded:
-
-            def compute() -> np.ndarray:
-                return np.array(
-                    self._threaded_nn_stats()["lambdas"], dtype=np.int64
-                )
-
-            return self._store.get_or_compute("lambda_sums", compute)
-        if self.chunked:
-
-            def compute() -> np.ndarray:
-                return np.array(
-                    self._chunked_nn_stats()["lambdas"], dtype=np.int64
-                )
-
-            return self._store.get_or_compute("lambda_sums", compute)
-        if self.kernels is not None:
-            # Native dense path: the fused per-cell pass tallies the
-            # per-axis sums as it folds the pairs and seeds them into
-            # the store.  If the seed was evicted, fall through to the
-            # per-axis assembly below (identical values).
-            self._per_cell_grids()
-            seeded = self._store.peek("lambda_sums")
-            if seeded is not None:
-                return seeded
-
-        def compute() -> np.ndarray:
-            return np.array(
-                [
-                    int(self.axis_pair_curve_distances(axis).sum())
-                    for axis in range(self.universe.d)
-                ],
-                dtype=np.int64,
-            )
-
-        return self._store.get_or_compute("lambda_sums", compute)
+        return self._store.get_or_compute(
+            "lambda_sums",
+            lambda: np.array(self._nn_stats()["lambdas"], dtype=np.int64),
+        )
 
     def davg(self) -> float:
         """``D^avg(π)`` (Definition 2), exact.
 
         0.0 on degenerate universes (the average over each empty
-        neighbor set is defined as 0).
+        neighbor set is defined as 0).  Computed by the block NN
+        reduction in every mode, without a dense per-cell grid: its
+        streamed pairwise sum adds the per-cell averages in the same
+        order as ``per_cell_avg_stretch().mean()``, so the two are
+        bit-for-bit equal.
         """
         if self.universe.side < 2:
             return 0.0
-        if self.threaded:
-            return self._scalar(
-                ("davg",), lambda: self._threaded_nn_stats()["davg"]
-            )
-        if self.chunked:
-            return self._scalar(
-                ("davg",), lambda: self._chunked_nn_stats()["davg"]
-            )
-        return self._scalar(
-            ("davg",), lambda: float(self.per_cell_avg_stretch().mean())
-        )
+        return self._scalar(("davg",), lambda: self._nn_stats()["davg"])
 
     def dmax(self) -> float:
         """``D^max(π)`` (Definition 4), exact; 0.0 when side == 1."""
         if self.universe.side < 2:
             return 0.0
-        if self.threaded:
-            return self._scalar(
-                ("dmax",), lambda: self._threaded_nn_stats()["dmax"]
-            )
-        if self.chunked:
-            return self._scalar(
-                ("dmax",), lambda: self._chunked_nn_stats()["dmax"]
-            )
-        return self._scalar(
-            ("dmax",), lambda: float(self.per_cell_max_stretch().mean())
-        )
+        return self._scalar(("dmax",), lambda: self._nn_stats()["dmax"])
 
     def nn_mean(self) -> float:
-        """Mean ``∆π`` over all NN pairs (0.0 when there are none)."""
+        """Mean ``∆π`` over all NN pairs (0.0 when there are none).
+
+        The exact integer pair sum over the pair count: equal to the
+        float mean of :meth:`nn_distance_values` while the sum stays
+        below 2^53.
+        """
         if self.universe.side < 2:
             return 0.0
-        if self.threaded:
-            from repro.grid.neighbors import nn_pair_count
-
-            return self._scalar(
-                ("nn_mean",),
-                lambda: float(self._threaded_nn_stats()["nn_sum"])
-                / nn_pair_count(self.universe),
-            )
-        if self.chunked:
-            from repro.grid.neighbors import nn_pair_count
-
-            return self._scalar(
-                ("nn_mean",),
-                lambda: float(self._chunked_nn_stats()["nn_sum"])
-                / nn_pair_count(self.universe),
-            )
-        if self.kernels is not None:
-            # Native dense path: the exact NN-pair sum is Σ_i Λ_i from
-            # the fused pass; dividing by the pair count equals the
-            # NumPy mean bit-for-bit (float64 pairwise summation of
-            # int64 values is exact while the total stays below 2^53,
-            # so both paths divide the same exact sum by the same
-            # count).
-            from repro.grid.neighbors import nn_pair_count
-
-            return self._scalar(
-                ("nn_mean",),
-                lambda: float(int(self.lambda_sums().sum()))
-                / nn_pair_count(self.universe),
-            )
         return self._scalar(
-            ("nn_mean",), lambda: float(self.nn_distance_values().mean())
+            ("nn_mean",),
+            lambda: float(self._nn_stats()["nn_sum"])
+            / nn_pair_count(self.universe),
         )
 
     def lower_bound(self) -> float:

@@ -436,103 +436,132 @@ EXPORT void repro_gray_encode_box(
     morton_box(lo, hi, side, d, k, 1, out);
 }
 
-/* Morton spreads of up to 31 (resp. 21) bits to every 2nd (3rd) bit. */
-static inline uint64_t part1by1(uint64_t x)
-{
-    x &= 0x00000000FFFFFFFFull;
-    x = (x | (x << 16)) & 0x0000FFFF0000FFFFull;
-    x = (x | (x << 8)) & 0x00FF00FF00FF00FFull;
-    x = (x | (x << 4)) & 0x0F0F0F0F0F0F0F0Full;
-    x = (x | (x << 2)) & 0x3333333333333333ull;
-    x = (x | (x << 1)) & 0x5555555555555555ull;
-    return x;
-}
+/* Hilbert box encode: a depth-first walk over the bits of the last
+ * coordinate.  Skilling's AxestoTranspose processes the levels from the
+ * top bit down, and level q only rewrites the bits below q: it
+ * complements the low bits of X[0] or exchanges them with those of
+ * X[i].  So after the levels above q, the low bits of transposed axis
+ * i are the low bits of some source axis src[i], complemented when bit
+ * i of comp is set, and the bits at q are final.  The closing Gray
+ * step makes key digit q, for axis i, the prefix XOR G_i of those bits
+ * XOR the parity of G_{d-1} over the levels above q.  That state (src,
+ * comp, parity, key bits so far) depends only on the coordinate bits
+ * above q, so cells of a row that share the high bits of their last
+ * coordinate share it: moving to the next cell recomputes only the
+ * levels at and below its highest changed bit, about two per cell
+ * instead of k.  The keys equal repro_hilbert_encode's. */
+typedef struct {
+    unsigned char src[REPRO_MAX_D];
+    uint64_t comp;
+    uint64_t par;
+    uint64_t key;
+} hilbert_state;
 
-static inline uint64_t part1by2(uint64_t x)
-{
-    x &= 0x00000000001FFFFFull;
-    x = (x | (x << 32)) & 0x001F00000000FFFFull;
-    x = (x | (x << 16)) & 0x001F0000FF0000FFull;
-    x = (x | (x << 8)) & 0x100F00F00F00F00Full;
-    x = (x | (x << 4)) & 0x10C30C30C30C30C3ull;
-    x = (x | (x << 2)) & 0x1249249249249249ull;
-    return x;
-}
+/* Unrolled fully when d is a small constant (see hilbert_box). */
+#define REPRO_UNROLL _Pragma("GCC unroll 4")
 
-/* axes_to_transpose_point + interleave_point for d == 2 and d == 3,
- * with the coordinates in scalars the compiler keeps in registers and
- * the branches of the undo loop turned into masks (m is all ones when
- * the tested bit is set, so exactly one of the two updates acts).  The
- * closing XOR t — (Q - 1) summed over the set bits Q > 1 of the last
- * axis — is the inverse Gray code of that axis shifted right by one. */
-static inline int64_t hilbert_key2(uint64_t x0, uint64_t x1, int64_t k)
+/* One level q >= 1: the state before it in *s, after it in *n.  `in`
+ * has bit a set when coordinate bit q of source axis a is set. */
+static inline __attribute__((always_inline)) void hilbert_level(
+    const hilbert_state *s, hilbert_state *n, uint64_t in, int64_t q,
+    int64_t d)
 {
-    for (int64_t q = k - 1; q >= 1; --q) {
-        uint64_t P = ((uint64_t)1 << q) - 1, m, t;
-        x0 ^= P & (0 - ((x0 >> q) & 1));
-        m = 0 - ((x1 >> q) & 1);
-        x0 ^= P & m;
-        t = (x0 ^ x1) & P & ~m;
-        x0 ^= t;
-        x1 ^= t;
+    uint64_t g = 0, key = s->key, comp = s->comp;
+    unsigned char src[REPRO_MAX_D];
+    REPRO_UNROLL
+    for (int64_t i = 0; i < d; ++i) src[i] = s->src[i];
+    REPRO_UNROLL
+    for (int64_t i = 0; i < d; ++i) {
+        uint64_t b = ((in >> s->src[i]) ^ (s->comp >> i)) & 1;
+        g ^= b;
+        key |= (g ^ s->par) << (q * d + d - 1 - i);
+        /* bit set: complement X[0]'s low bits; clear: exchange them
+         * with X[i]'s (a no-op for i == 0).  Branch-free. */
+        comp ^= b;
+        uint64_t swap = (b ^ 1) & (i != 0);
+        unsigned char flip = (src[0] ^ src[i]) & (unsigned char)(0 - swap);
+        src[0] ^= flip;
+        src[i] ^= flip;
+        uint64_t t = (comp ^ (comp >> i)) & swap;
+        comp ^= t | (t << i);
     }
-    x1 ^= x0;
-    uint64_t t = (uint64_t)gray_decode64((int64_t)(x1 >> 1));
-    x0 ^= t;
-    x1 ^= t;
-    return (int64_t)((part1by1(x0) << 1) | part1by1(x1));
+    REPRO_UNROLL
+    for (int64_t i = 0; i < d; ++i) n->src[i] = src[i];
+    n->comp = comp;
+    n->par = s->par ^ g;
+    n->key = key;
 }
 
-static inline int64_t hilbert_key3(
-    uint64_t x0, uint64_t x1, uint64_t x2, int64_t k)
+/* The keys of one row, cells with last coordinate first .. first +
+ * width - 1.  st[q + 1] holds the state before level q, st[k] the
+ * initial one; rowbits[q] the bits q of the row's fixed axes.  Level 0
+ * is never stored: an even cell and its odd successor differ only in
+ * the bit of the last axis, which flips G_i for every i at or after
+ * the position of that axis in src, so both keys come from st[1]. */
+static inline __attribute__((always_inline)) void hilbert_row(
+    const uint64_t *rowbits, int64_t first, int64_t width, int64_t d,
+    int64_t k, hilbert_state *st, int64_t *out)
 {
-    for (int64_t q = k - 1; q >= 1; --q) {
-        uint64_t P = ((uint64_t)1 << q) - 1, m, t;
-        x0 ^= P & (0 - ((x0 >> q) & 1));
-        m = 0 - ((x1 >> q) & 1);
-        x0 ^= P & m;
-        t = (x0 ^ x1) & P & ~m;
-        x0 ^= t;
-        x1 ^= t;
-        m = 0 - ((x2 >> q) & 1);
-        x0 ^= P & m;
-        t = (x0 ^ x2) & P & ~m;
-        x0 ^= t;
-        x2 ^= t;
+    uint64_t leaf[2] = {0, 0};
+    for (int64_t c = 0; c < width; ++c) {
+        int64_t x = first + c;
+        if (c == 0 || !(x & 1)) {
+            int64_t top = c == 0 ? k - 1 : __builtin_ctzll((uint64_t)x);
+            for (int64_t q = top; q >= 1; --q) {
+                uint64_t in = rowbits[q]
+                    | ((uint64_t)((x >> q) & 1) << (d - 1));
+                hilbert_level(&st[q + 1], &st[q], in, q, d);
+            }
+            const hilbert_state *s = &st[1];
+            uint64_t g = 0, key = s->key, flip = 0;
+            REPRO_UNROLL
+            for (int64_t i = 0; i < d; ++i) {
+                g ^= ((rowbits[0] >> s->src[i]) ^ (s->comp >> i)) & 1;
+                key |= (g ^ s->par) << (d - 1 - i);
+                flip |= (((uint64_t)2 << (d - 1 - i)) - 1)
+                    & (0 - (uint64_t)(s->src[i] == d - 1));
+            }
+            leaf[0] = key;
+            leaf[1] = key ^ flip;
+        }
+        out[c] = (int64_t)leaf[x & 1];
     }
-    x1 ^= x0;
-    x2 ^= x1;
-    uint64_t t = (uint64_t)gray_decode64((int64_t)(x2 >> 1));
-    x0 ^= t;
-    x1 ^= t;
-    x2 ^= t;
-    return (int64_t)(
-        (part1by2(x0) << 2) | (part1by2(x1) << 1) | part1by2(x2));
 }
 
+static inline __attribute__((always_inline)) void hilbert_box(
+    int64_t lo, int64_t hi, int64_t side, int64_t d, int64_t k,
+    int64_t *out)
+{
+    int64_t X[REPRO_MAX_D], first, width;
+    uint64_t rowbits[64];
+    hilbert_state st[64];
+    int64_t rows = box_rows(lo, hi, side, d, X, &first, &width);
+    for (int64_t i = 0; i < d; ++i) st[k].src[i] = (unsigned char)i;
+    st[k].comp = st[k].par = st[k].key = 0;
+    for (int64_t r = 0; r < rows; ++r, out += width) {
+        for (int64_t q = 0; q < k; ++q) {
+            uint64_t bits = 0;
+            for (int64_t a = 0; a < d - 1; ++a)
+                bits |= (uint64_t)((X[a] >> q) & 1) << a;
+            rowbits[q] = bits;
+        }
+        hilbert_row(rowbits, first, width, d, k, st, out);
+        next_row(X, d, side);
+    }
+}
+
+/* d == 2 and d == 3 get copies of the walk with d a constant, so the
+ * per-axis loops unroll and the state stays in registers. */
 EXPORT void repro_hilbert_encode_box(
     int64_t lo, int64_t hi, int64_t side, int64_t d, int64_t k,
     int64_t *out)
 {
-    int64_t X[REPRO_MAX_D], Y[REPRO_MAX_D], first, width;
-    int64_t rows = box_rows(lo, hi, side, d, X, &first, &width);
-    for (int64_t r = 0; r < rows; ++r, out += width) {
-        if (d == 2) {
-            for (int64_t c = 0; c < width; ++c)
-                out[c] = hilbert_key2(X[0], first + c, k);
-        } else if (d == 3) {
-            for (int64_t c = 0; c < width; ++c)
-                out[c] = hilbert_key3(X[0], X[1], first + c, k);
-        } else {
-            for (int64_t c = 0; c < width; ++c) {
-                for (int64_t i = 0; i < d - 1; ++i) Y[i] = X[i];
-                Y[d - 1] = first + c;
-                axes_to_transpose_point(Y, d, k);
-                out[c] = interleave_point(Y, d, k);
-            }
-        }
-        next_row(X, d, side);
-    }
+    if (d == 2)
+        hilbert_box(lo, hi, side, 2, k, out);
+    else if (d == 3)
+        hilbert_box(lo, hi, side, 3, k, out);
+    else
+        hilbert_box(lo, hi, side, d, k, out);
 }
 
 /* Snake keys of one row: along axis d-1 (the most significant digit)

@@ -759,7 +759,7 @@ def _publish_shared(
     copying it into shared memory, and a cold parent's computes are
     written through for the next run.
     """
-    from repro.engine.shm import SharedGridStore, shared_key, universe_key
+    from repro.engine.shm import SharedGridStore, shared_key
 
     store = SharedGridStore.create()
     stats: List[CacheStats] = []
@@ -800,12 +800,6 @@ def _publish_shared(
                     store.put(
                         skey, "inverse_perm", ctx.inverse_permutation()
                     )
-                ukey = universe_key(universe)
-                if (
-                    (ukey, "neighbor_counts") not in store
-                    and universe.side >= 2
-                ):
-                    store.put(ukey, "neighbor_counts", ctx.neighbor_counts())
             if want_order:
                 # Publish under the innermost base spec: workers
                 # derive a transform's order from the base view.
@@ -847,9 +841,8 @@ class Sweep:
 
     **Process-pool sharing** (``shared``): with ``"auto"`` (the
     default) or ``True``, a process sweep publishes one grid set per
-    canonical curve spec — key grid, flat keys, inverse permutation,
-    plus per-universe neighbor counts — into
-    :class:`repro.engine.shm.SharedGridStore` segments before the
+    canonical curve spec — key grid, flat keys, inverse permutation —
+    into :class:`repro.engine.shm.SharedGridStore` segments before the
     executor starts; workers attach zero-copy views instead of
     recomputing (counted under :attr:`CacheStats.shared`), and the
     parent unlinks every segment when the sweep finishes, even on

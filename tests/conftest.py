@@ -129,6 +129,8 @@ def brute_force_davg(curve) -> float:
     total = 0.0
     for cell in universe.iter_cells():
         nbrs = neighbors_of(np.asarray(cell), universe)
+        if not len(nbrs):
+            continue  # the average over an empty neighbor set is 0
         keys = curve.index(nbrs)
         me = int(curve.index(np.asarray(cell)))
         total += float(np.abs(keys - me).mean())
@@ -143,10 +145,36 @@ def brute_force_dmax(curve) -> float:
     total = 0.0
     for cell in universe.iter_cells():
         nbrs = neighbors_of(np.asarray(cell), universe)
+        if not len(nbrs):
+            continue  # the maximum over an empty neighbor set is 0
         keys = curve.index(nbrs)
         me = int(curve.index(np.asarray(cell)))
         total += float(np.abs(keys - me).max())
     return total / universe.n
+
+
+def brute_force_lambdas(curve) -> list:
+    """Slow ``[Λ_1, …, Λ_d]`` oracle: ``Σ ∆π`` over each axis's NN pairs."""
+    from repro.grid.neighbors import iter_nn_pairs
+
+    universe = curve.universe
+    totals = [0] * universe.d
+    for a, b in iter_nn_pairs(universe):
+        axis = next(i for i in range(universe.d) if a[i] != b[i])
+        totals[axis] += abs(
+            int(curve.index(np.asarray(a))) - int(curve.index(np.asarray(b)))
+        )
+    return totals
+
+
+def brute_force_nn_mean(curve) -> float:
+    """Slow mean-``∆π`` oracle over all unordered NN pairs (0.0 if none)."""
+    from repro.grid.neighbors import iter_nn_pairs
+
+    count = sum(1 for _ in iter_nn_pairs(curve.universe))
+    if count == 0:
+        return 0.0
+    return float(sum(brute_force_lambdas(curve))) / count
 
 
 def brute_force_allpairs(curve, metric: str = "manhattan") -> float:

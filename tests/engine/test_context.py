@@ -38,8 +38,15 @@ class TestComputeOnce:
         ctx = MetricContext(ZCurve(u2_8), backend="numpy")
         ctx.stretch_report(include_allpairs=True)
         ctx.stretch_report(include_allpairs=True)
+        # The report scalars share one block reduction over one grid.
+        assert ctx.stats.compute_count("key_grid") == 1
+        assert ctx.stats.compute_count("lambda_sums") == 1
+        # The per-cell exports reuse that grid and each axis array.
+        ctx.per_cell_stretch_sums()
+        ctx.nn_distance_values()
         for axis in range(u2_8.d):
             assert ctx.stats.compute_count(f"axis_dist[{axis}]") == 1
+        assert ctx.stats.compute_count("key_grid") == 1
 
     def test_scalars_memoized(self, u2_8):
         ctx = MetricContext(ZCurve(u2_8))
@@ -50,9 +57,12 @@ class TestComputeOnce:
         assert dict(ctx.stats.computes) == computes
 
     def test_cache_disabled_recomputes(self, u2_8):
-        ctx = MetricContext(ZCurve(u2_8), max_bytes=0)
+        ctx = MetricContext(ZCurve(u2_8), max_bytes=0, backend="numpy")
         ctx.lambda_sums()
         ctx._scalars.clear()  # scalars memoize regardless of the store
+        ctx.lambda_sums()
+        assert ctx.stats.compute_count("key_grid") == 2
+        ctx.per_cell_stretch_sums()
         ctx.nn_distance_values()
         assert ctx.stats.compute_count("axis_dist[0]") == 2
 
@@ -116,10 +126,13 @@ class TestBoundedStore:
         # backend="numpy": axis_dist exists only on the NumPy path.
         ctx = MetricContext(ZCurve(u2_8), backend="numpy")
         ctx.davg()
+        ctx.nn_distance_values()
         assert ctx.cache_bytes > 0
         ctx.clear_cache()
         assert ctx.cache_bytes == 0
         ctx.davg()
+        ctx.nn_distance_values()
+        assert ctx.stats.compute_count("key_grid") == 2
         assert ctx.stats.compute_count("axis_dist[0]") == 2
 
 

@@ -96,6 +96,7 @@ class TestUniverseSharing:
         pool = ContextPool()
         for curve in (ZCurve(u2_8), HilbertCurve(u2_8), SnakeCurve(u2_8)):
             pool.get(curve).davg()
+            pool.get(curve).per_cell_stretch_sums()
         assert pool.stats.compute_count("neighbor_counts") == 1
 
     def test_isolated_contexts_compute_per_curve(self, u2_8):
@@ -103,6 +104,7 @@ class TestUniverseSharing:
         for curve in (ZCurve(u2_8), HilbertCurve(u2_8), SnakeCurve(u2_8)):
             ctx = MetricContext(curve)
             ctx.davg()
+            ctx.per_cell_stretch_sums()
             stats.append(ctx.stats)
         total = CacheStats.aggregate(stats)
         assert total.compute_count("neighbor_counts") == 3
@@ -116,8 +118,9 @@ class TestUniverseSharing:
 
     def test_distinct_universes_distinct_stores(self, u2_8, u3_4):
         pool = ContextPool()
-        pool.get(ZCurve(u2_8)).davg()
-        pool.get(ZCurve(u3_4)).davg()
+        for universe in (u2_8, u3_4):
+            pool.get(ZCurve(universe)).davg()
+            pool.get(ZCurve(universe)).per_cell_stretch_sums()
         assert pool.stats.compute_count("neighbor_counts") == 2
 
 
@@ -209,6 +212,9 @@ class TestTransformDerivation:
         rev = ReversedCurve(ZCurve(u2_8))
         ctx = pool.get(rev)
         ctx.davg()
+        assert ctx.stats.compute_count("key_grid") == 0
+        assert ctx.stats.derived_count("key_grid") == 1
+        ctx.nn_distance_values()
         for axis in range(u2_8.d):
             assert ctx.stats.compute_count(f"axis_dist[{axis}]") == 0
             assert ctx.stats.derived_count(f"axis_dist[{axis}]") == 1
@@ -218,7 +224,9 @@ class TestTransformDerivation:
         rev = ReversedCurve(ZCurve(u2_8))
         ctx = pool.get(rev)
         ctx.davg()
+        ctx.nn_distance_values()
         assert ctx.stats.total_derived == 0
+        assert ctx.stats.compute_count("key_grid") == 1
         assert ctx.stats.compute_count("axis_dist[0]") == 1
 
     def test_permuted_3d(self, u3_4):
@@ -321,7 +329,7 @@ class TestPooledSweep:
         than the same multi-metric sweep with pooling disabled."""
         kwargs = dict(
             universes=[u2_8],
-            curves=["z", "hilbert", "snake"],
+            curves=["z", "hilbert", "snake", "reversed:inner=hilbert"],
             metrics=("davg", "dmax", "nn_mean"),
             reports=False,
         )
@@ -334,6 +342,10 @@ class TestPooledSweep:
             pooled.cache_stats.total_computes
             < unpooled.cache_stats.total_computes
         )
+        # The pool derives the reversed curve's grid from hilbert's.
+        assert pooled.cache_stats.compute_count("key_grid") == 3
+        assert pooled.cache_stats.derived_count("key_grid") == 1
+        assert unpooled.cache_stats.compute_count("key_grid") == 4
 
     def test_metric_spec_sweep_end_to_end(self, u2_8):
         """Acceptance: davg + dilation + partition in one pooled sweep."""
@@ -460,5 +472,5 @@ class TestPerUniversePooling:
             reports=False,
         ).run()
         assert len(result.records) == 4
-        # one neighbor-count build per universe (shared within each)
-        assert result.cache_stats.compute_count("neighbor_counts") == 2
+        # one key-grid build per (universe, curve), from both pools
+        assert result.cache_stats.compute_count("key_grid") == 4

@@ -98,6 +98,7 @@ class TestContextWiring:
         ctx.order()
         ctx.flat_keys()
         ctx.inverse_permutation()
+        ctx.per_cell_stretch_sums()  # the one reader of neighbor counts
         skey = shared_key(curve)
         for kind in SHARED_KINDS:
             assert store.contains(skey, kind), kind
