@@ -22,9 +22,9 @@ Three experiments, two of them on a side=1024 Hilbert cell:
   pure-NumPy reference ``curve.index(all_coords)`` on Hilbert 512².
   Parity with ``index()`` is asserted for Z, Gray, Hilbert and snake;
   the Hilbert speedup is asserted >= 3x when the kernels are available.
-  The Hilbert box codec's row walk is also held to <= 0.65x the time
-  of the per-cell Skilling loop (the native point codec over the same
-  cells, which runs every level for every cell).
+  The Hilbert box codec's row walk is also held to <= 0.2x the time
+  of the native point codec over the same cells (which runs every
+  Skilling level for every cell), a bound a per-cell box loop fails.
 
 On hosts without a C compiler the numbers are still recorded (the
 ``native`` rows fall back to numpy and say so in the JSON); only the
@@ -55,7 +55,12 @@ MIN_ENCODE_SPEEDUP = 2.0
 MIN_REDUCTION_SPEEDUP = 1.3
 BOX_UNIVERSE = Universe.power_of_two(d=2, k=9)
 MIN_BOX_SPEEDUP = 3.0
-MAX_WALK_TO_LOOP = 0.65
+#: Hilbert row walk / native point codec, both over the 512² box.  A
+#: specialised per-cell box loop (the codec before the row walk)
+#: measured 29-40 ns/cell against the point codec's 85-130, a ratio of
+#: 0.30-0.32 (2-vCPU Xeon); the walk must take <= 0.65x that loop, so
+#: the bound is 0.65 * 0.30 ~= 0.2.  The walk measured 0.05-0.12.
+MAX_WALK_TO_POINT = 0.2
 
 NATIVE_AVAILABLE = native.available()
 
@@ -208,7 +213,7 @@ def test_p7_box_encode(benchmark, results_writer):
         parity = parity and same
         rows.append((curve.name, t_index, t_box, same))
     speedup = {name: t_index / t_box for name, t_index, t_box, _ in rows}
-    walk_ratio = _walk_to_loop_ratio(rows[0][2])
+    walk_ratio = _walk_to_point_ratio(rows[0][2])
     benchmark.extra_info["box_encode"] = {
         "universe": str(BOX_UNIVERSE),
         "native_available": NATIVE_AVAILABLE,
@@ -218,7 +223,7 @@ def test_p7_box_encode(benchmark, results_writer):
             name: round(t / BOX_UNIVERSE.n * 1e9, 2) for name, _, t, _ in rows
         },
         "speedup": {name: round(v, 1) for name, v in speedup.items()},
-        "hilbert_walk_to_loop": (
+        "hilbert_walk_to_point_codec": (
             None if walk_ratio is None else round(walk_ratio, 3)
         ),
         "bit_for_bit_parity": parity,
@@ -237,7 +242,7 @@ def test_p7_box_encode(benchmark, results_writer):
         + (
             ""
             if walk_ratio is None
-            else f"\nhilbert row walk / per-cell loop: {walk_ratio:.3f}\n"
+            else f"\nhilbert row walk / point codec: {walk_ratio:.3f}\n"
         ),
     )
     print(f"\nbox encode hilbert {speedup['hilbert']:.1f}x; parity={parity}")
@@ -247,17 +252,17 @@ def test_p7_box_encode(benchmark, results_writer):
             f"box encode speedup {speedup['hilbert']:.1f}x below "
             f"{MIN_BOX_SPEEDUP}x"
         )
-        assert walk_ratio <= MAX_WALK_TO_LOOP, (
-            f"hilbert row walk takes {walk_ratio:.2f}x the per-cell "
-            f"loop, above {MAX_WALK_TO_LOOP}x"
+        assert walk_ratio <= MAX_WALK_TO_POINT, (
+            f"hilbert row walk takes {walk_ratio:.2f}x the point "
+            f"codec, above {MAX_WALK_TO_POINT}x"
         )
 
 
-def _walk_to_loop_ratio(t_box: float):
-    """Hilbert box time over the per-cell loop's, or ``None`` (no kernels).
+def _walk_to_point_ratio(t_box: float):
+    """Hilbert box time over the point codec's, or ``None`` (no kernels).
 
-    The loop is the native point codec over the box's cells in C
-    order; its keys must equal ``index()`` too.
+    The point codec encodes the box's cells in C order; its keys must
+    equal ``index()`` too.
     """
     curve = HilbertCurve(BOX_UNIVERSE)
     codec = native.encoder_for(curve)
@@ -266,6 +271,6 @@ def _walk_to_loop_ratio(t_box: float):
     side, d = BOX_UNIVERSE.side, BOX_UNIVERSE.d
     mesh = np.meshgrid(*[np.arange(side, dtype=np.int64)] * d, indexing="ij")
     cells = np.ascontiguousarray(np.stack(mesh, axis=-1).reshape(-1, d))
-    keys, t_loop = _best_of(lambda: codec.encode(cells), repeats=5)
+    keys, t_point = _best_of(lambda: codec.encode(cells), repeats=5)
     assert np.array_equal(keys, curve.index(cells))
-    return t_box / t_loop
+    return t_box / t_point
