@@ -253,9 +253,10 @@ def dense_slab_views(grid: np.ndarray) -> Iterator[tuple]:
 def nn_block_reduction(ctx) -> dict:
     """All NN-stretch scalars of ``ctx`` in one pass over key slabs.
 
-    The one serial NN path of both modes: a chunked context streams
-    its own key slabs, a dense one walks :func:`dense_slab_views` of
-    its cached key grid.  Returns ``{"davg", "dmax", "lambdas",
+    The one serial NN path of both modes: it walks
+    :meth:`~repro.engine.MetricContext.iter_key_slabs`, which streams a
+    chunked context's slabs and :func:`dense_slab_views` of a dense
+    one's cached key grid.  Returns ``{"davg", "dmax", "lambdas",
     "nn_sum"}``, bit-for-bit equal to the per-cell definitions (see
     the module docstring for why).  Requires ``side >= 2``; the
     degenerate cases are handled by the calling metric methods.
@@ -286,12 +287,7 @@ def nn_block_reduction(ctx) -> dict:
         pending_sums = None
         pending_max = None
         pending_x0 = -1
-        slabs = (
-            ctx.iter_key_slabs()
-            if ctx.chunked
-            else dense_slab_views(ctx.key_grid())
-        )
-        for lo, hi, slab in slabs:
+        for lo, hi, slab in ctx.iter_key_slabs():
             thickness = hi - lo
             sums = scratch.take("sums", slab.shape, np.int64)
             sums[...] = 0

@@ -976,13 +976,16 @@ class MetricContext:
 
         Slabs walk the grid along axis 0 (C order); ``slab`` has shape
         ``(hi - lo,) + (side,) * (d - 1)`` and equals
-        ``key_grid()[lo:hi]`` bit-for-bit.  In dense mode one slab
-        covering the whole grid is yielded; in chunked mode each slab
-        holds roughly ``chunk_cells`` cells and is LRU-cached under the
-        ``max_bytes`` budget.
+        ``key_grid()[lo:hi]`` bit-for-bit.  In dense mode the slabs are
+        zero-copy views of the cached grid, about
+        :data:`~repro.engine.chunked.DENSE_BLOCK_CELLS` cells each; in
+        chunked mode each slab holds roughly ``chunk_cells`` cells and is
+        LRU-cached under the ``max_bytes`` budget.
         """
         if not self.chunked:
-            yield 0, self.universe.side, self.key_grid()
+            from repro.engine.chunked import dense_slab_views
+
+            yield from dense_slab_views(self.key_grid())
             return
         for lo, hi in self._slab_ranges():
             yield lo, hi, self._key_slab(lo, hi)

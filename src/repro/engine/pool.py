@@ -360,7 +360,7 @@ class ContextPool:
         left on the local compute path; specs the parent did not publish
         resolve to ``None`` at lookup time and likewise fall through.
         """
-        from repro.engine.shm import SHARED_KINDS, shared_key, universe_key
+        from repro.engine.shm import SHARED_KINDS, shared_key
 
         store = self.shared_store
         skey = shared_key(curve)
@@ -369,10 +369,6 @@ class ContextPool:
                 ctx._shared_sources[kind] = (
                     lambda k=skey, kd=kind: store.get(k, kd)
                 )
-        ukey = universe_key(curve.universe)
-        ctx._shared_sources["neighbor_counts"] = (
-            lambda: store.get(ukey, "neighbor_counts")
-        )
 
     @property
     def stats(self) -> CacheStats:
