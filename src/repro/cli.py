@@ -108,9 +108,10 @@ def build_parser() -> argparse.ArgumentParser:
             "engine switches to chunked (block-streaming) execution "
             "for any universe whose dense key grid would exceed the "
             "cache budget, and process sweeps (--processes N) publish "
-            "one shared-memory grid set per curve spec so workers "
-            "attach zero-copy views instead of recomputing "
-            "(--no-shared opts out).  --threads N additionally "
+            "each curve spec's key grid once so workers reuse it "
+            "instead of recomputing: through shared memory, or through "
+            "the --store directory when one is given (--no-shared "
+            "opts out).  --threads N additionally "
             "parallelizes each cell's block reductions over worker "
             "threads, bit-for-bit identical to serial."
         ),
@@ -141,7 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="fan cells out over N worker processes (grids are shared "
-        "through shared memory unless --no-shared is given)",
+        "through shared memory, or through the --store directory when "
+        "one is given, unless --no-shared is given)",
     )
 
     def threads_spec(text: str):
@@ -171,15 +173,16 @@ def build_parser() -> argparse.ArgumentParser:
         dest="shared",
         action="store_true",
         default=None,
-        help="force the shared-memory grid store for process sweeps "
-        "(default: used automatically whenever --processes > 1)",
+        help="force grid sharing for process sweeps: shared memory, or "
+        "the --store directory when given (default: used "
+        "automatically whenever --processes > 1)",
     )
     p_sweep.add_argument(
         "--no-shared",
         dest="shared",
         action="store_false",
-        help="disable the shared-memory grid store; every worker "
-        "rebuilds its key grids privately",
+        help="disable grid sharing; every worker resolves its key "
+        "grids privately",
     )
     p_sweep.add_argument(
         "--strict",
@@ -213,9 +216,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="persistent grid-store directory: computed key grids are "
         "written through as checksummed .npy artifacts and later runs "
         "memory-map them instead of recomputing (bit-for-bit "
-        "identical; counted as 'mmap' under --stats); chunked cells "
-        "spill table-backed grids there to stream beyond the cache "
-        "budget (default: $REPRO_STORE when set)",
+        "identical; counted as 'mmap' under --stats); process sweeps "
+        "hand grids to their workers through it instead of shared "
+        "memory; chunked cells spill table-backed grids there to "
+        "stream beyond the cache budget (default: $REPRO_STORE when "
+        "set)",
     )
 
     p_serve = sub.add_parser(

@@ -31,10 +31,10 @@
   :class:`ContextPool` / :class:`Sweep` selects it; values are
   bit-for-bit identical across backends.
 * :mod:`repro.engine.shm` — :class:`SharedGridStore`, shared-memory
-  segments holding one grid set (key grid, flat keys, inverse
-  permutation, neighbor counts) per canonical spec, published by a
-  process sweep's parent and attached by its workers as zero-copy
-  read-only views (counted in :attr:`CacheStats.shared`).
+  segments holding each canonical spec's key grid (plus its curve
+  order for order metrics), published by the parent of a process
+  sweep without a persistent store and attached by its workers as
+  zero-copy read-only views (counted in :attr:`CacheStats.shared`).
 * :mod:`repro.engine.store` — :class:`GridStore`, the *persistent*
   tier: content-addressed ``.npy`` artifacts (format-version + dtype/
   shape/SHA-256 headers, temp-file + atomic-rename publish) memory-

@@ -206,9 +206,10 @@ class ContextPool:
 
     ``shared_store`` plugs in a :class:`repro.engine.shm.SharedGridStore`
     (typically attached inside a process-sweep worker): dense-mode
-    contexts then resolve their key grid, flat keys, inverse permutation
-    and neighbor counts as zero-copy views of the parent-published
-    segments before falling back to local compute, counted under
+    contexts then resolve the published kinds of
+    :data:`repro.engine.shm.SHARED_KINDS` as zero-copy views of the
+    parent's segments before falling back to local compute, counted
+    under
     :attr:`repro.engine.CacheStats.shared`.  Chunked contexts ignore the
     store — they exist precisely to avoid dense ``O(n)`` arrays.
 

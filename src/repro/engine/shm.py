@@ -6,10 +6,11 @@ paper's shared-structure argument says to exploit: all stretch metrics
 of a cell reduce over *one* permutation's key grid.  The
 :class:`SharedGridStore` removes it:
 
-* the **parent** computes one grid set per canonical curve spec — the
-  dense key grid, the rank-ordered flat keys and the inverse
-  permutation — and copies each into a
-  :class:`multiprocessing.shared_memory.SharedMemory` segment;
+* the **parent** computes each canonical curve spec's dense key grid
+  (plus the curve order when an order metric is requested) and copies
+  each into a :class:`multiprocessing.shared_memory.SharedMemory`
+  segment — a sweep with a persistent store skips this, and its
+  workers map the :class:`repro.engine.store.GridStore` instead;
 * the **workers** receive the segment manifest through the executor
   initializer and attach **zero-copy read-only NumPy views** instead of
   recomputing; resolutions are counted under
@@ -60,12 +61,15 @@ __all__ = [
     "universe_key",
 ]
 
-#: The per-spec intermediates a shared store can publish, in publish
-#: order.  Each is resolvable by a worker context before local compute:
-#: ``key_grid`` (dense ``(side,)*d``), ``flat_keys`` (rank order),
-#: ``inverse_perm`` (rank of each key) and ``order`` (cells in curve
-#: order, ``(n, d)`` — published only when the sweep runs a windowed
-#: metric, since it costs ``d×`` the key grid's bytes).
+#: The per-spec intermediates a worker context can resolve from a
+#: shared store before local compute: ``key_grid`` (dense
+#: ``(side,)*d``), ``flat_keys`` (rank order), ``inverse_perm`` (rank
+#: of each key) and ``order`` (cells in curve order, ``(n, d)``).  A
+#: :class:`repro.engine.store.GridStore` persists whichever of them a
+#: context computes.  The sweep parent and the serve warm start publish
+#: only ``key_grid``, plus ``order`` when the sweep runs a windowed
+#: metric (it costs ``d×`` the key grid's bytes); the other two derive
+#: from the grid with one vector op.
 SHARED_KINDS: Tuple[str, ...] = (
     "key_grid",
     "flat_keys",
@@ -203,9 +207,12 @@ class SharedGridStore:
         with self._lock:
             return len(self._entries)
 
-    def __contains__(self, key: tuple) -> bool:
+    def contains(self, spec_key: tuple, kind: str) -> bool:
+        """Whether ``(spec_key, kind)`` is published (the
+        :meth:`repro.engine.store.GridStore.contains` signature, so a
+        sweep parent fills either store through one loop)."""
         with self._lock:
-            return key in self._entries
+            return (spec_key, kind) in self._entries
 
     @property
     def segment_names(self) -> Tuple[str, ...]:

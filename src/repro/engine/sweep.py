@@ -29,11 +29,13 @@ Every benchmark, example and CLI table in this repo is some flavor of
 * ``processes=N`` fans the (universe, curve) cells out over a process
   pool — each cell is independent, so the sweep parallelizes trivially.
   With ``shared`` on (the ``"auto"`` default), the parent precomputes
-  one grid set per canonical curve spec into
-  :class:`repro.engine.shm.SharedGridStore` segments and the workers
-  attach zero-copy views instead of rebuilding every key grid privately
-  (counted in :attr:`repro.engine.CacheStats.shared`); identical cells
-  are deduplicated spec-keyed before any work runs.  ``shared=False``
+  each canonical curve spec's key grid once and the workers resolve it
+  instead of rebuilding every key grid privately: from
+  :class:`repro.engine.shm.SharedGridStore` segments (counted in
+  :attr:`repro.engine.CacheStats.shared`), or — when the sweep has a
+  ``store_dir`` — straight from the persistent store's files (counted
+  in :attr:`repro.engine.CacheStats.mmap`).  Identical cells are
+  deduplicated spec-keyed before any work runs.  ``shared=False``
   restores fully private workers — then a warning flags the bypassed
   pooling unless ``pooled=False`` acknowledges it.  Either way each
   worker's cache stats are piped back and aggregated on the result.
@@ -52,6 +54,7 @@ from __future__ import annotations
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.summary import StretchReport, stretch_report
@@ -569,8 +572,8 @@ _Task = Tuple[
 
 #: Metric names whose evaluation walks the curve order / windowed
 #: state; a shared-mode process sweep publishes ``order`` for its
-#: specs exactly when one of these is requested, so workers attach the
-#: curve path zero-copy instead of privately rebuilding the inverse.
+#: specs exactly when one of these is requested, so workers resolve the
+#: curve path instead of privately rebuilding the inverse.
 _ORDER_METRICS = frozenset({"dilation"})
 
 
@@ -582,13 +585,24 @@ def _needs_order(metric_texts: Tuple[str, ...]) -> bool:
     )
 
 
+def _innermost_base(curve: SpaceFillingCurve) -> SpaceFillingCurve:
+    """The curve a transform chain (``curve.inner``...) derives from."""
+    while isinstance(getattr(curve, "inner", None), SpaceFillingCurve):
+        curve = curve.inner
+    return curve
+
+
 def _run_cell(
     task: _Task,
     pool: Optional[ContextPool] = None,
     stats_sink: Optional[List[CacheStats]] = None,
-    shared_store=None,
 ):
-    """Compute one (universe, curve) cell; top-level for pickling."""
+    """Compute one (universe, curve) cell; top-level for pickling.
+
+    With a ``pool`` the cell resolves through it and the caller reads
+    the pool's stats; otherwise it builds a private context whose stats
+    land in ``stats_sink``.
+    """
     (
         d,
         side,
@@ -623,22 +637,8 @@ def _run_cell(
             side=side,
             reason=f"construction error: {exc}",
         )
-    cell_pool: Optional[ContextPool] = None
     if pool is not None:
         ctx = pool.get(curve)
-    elif shared_store is not None:
-        # Shared-mode worker: a cell-scoped pool wires this context (and
-        # any transform base contexts, created transitively) to the
-        # parent-published shared-memory segments.
-        cell_pool = ContextPool(
-            max_bytes=max_bytes,
-            chunk_cells=chunk_cells,
-            shared_store=shared_store,
-            threads=threads,
-            backend=backend,
-            store_dir=store_dir,
-        )
-        ctx = cell_pool.get(curve)
     else:
         ctx = MetricContext(
             curve,
@@ -648,8 +648,8 @@ def _run_cell(
             backend=backend,
             store_dir=store_dir,
         )
-    if pool is None and cell_pool is None and stats_sink is not None:
-        stats_sink.append(ctx.stats)
+        if stats_sink is not None:
+            stats_sink.append(ctx.stats)
     # Record which backend actually serves this cell (the *resolved*
     # backend: an unavailable "native" request degrades to "numpy"), so
     # --stats / the serve /stats payload can report it.
@@ -669,10 +669,6 @@ def _run_cell(
             seed=seed,
             context=ctx,
         )
-    if cell_pool is not None and stats_sink is not None:
-        # Aggregated after the metrics ran so transitively created base
-        # contexts (transform derivation) are included.
-        stats_sink.append(cell_pool.stats)
     return SweepRecord(
         spec=spec.label,
         curve_name=curve.name,
@@ -697,71 +693,79 @@ def _worker_attach_shared(manifest) -> None:
     _WORKER_SHARED_STORE = SharedGridStore.attach(manifest)
 
 
-def _run_cell_with_stats(task: _Task):
+def _run_cell_with_stats(task: _Task, shared: bool = False):
     """Process-pool entry point: one cell plus its worker cache stats.
 
     Returning the per-cell :class:`CacheStats` lets the parent
     aggregate engine counters across workers — without this, process
-    sweeps silently reported no cache statistics at all.  When the
-    sweep published a :class:`repro.engine.shm.SharedGridStore`, the
-    cell resolves grids through it (see :func:`_worker_attach_shared`).
+    sweeps silently reported no cache statistics at all.  A ``shared``
+    cell resolves through a cell-scoped :class:`ContextPool` wired to
+    whatever the parent filled: the shared-memory segments attached by
+    :func:`_worker_attach_shared`, or the task's persistent
+    :class:`repro.engine.store.GridStore` directory.  Either way its
+    transform curves derive from their base curve's resolved grid.
     """
-    sink: List[CacheStats] = []
-    outcome = _run_cell(
-        task, pool=None, stats_sink=sink, shared_store=_WORKER_SHARED_STORE
+    if not shared:
+        sink: List[CacheStats] = []
+        outcome = _run_cell(task, stats_sink=sink)
+        return outcome, CacheStats.aggregate(sink)
+    pool = ContextPool(
+        max_bytes=task[10],
+        chunk_cells=task[9],
+        shared_store=_WORKER_SHARED_STORE,
+        threads=task[11],
+        backend=task[12],
+        store_dir=task[13],
     )
-    stats = CacheStats.aggregate(sink) if sink else CacheStats()
-    return outcome, stats
+    outcome = _run_cell(task, pool=pool)
+    # Read after the metrics ran so transitively created base contexts
+    # (transform derivation) are included.
+    return outcome, pool.stats
 
 
 def _publish_shared(
-    tasks: List[_Task],
-    max_bytes: Optional[int],
-    store_dir: Optional[str] = None,
-):
-    """Precompute one grid set per canonical spec into shared memory.
+    tasks: List[_Task], max_bytes: Optional[int], target
+) -> CacheStats:
+    """Make the grids the workers will read available in ``target``.
 
-    Returns ``(store, stats)``: the owning
-    :class:`repro.engine.shm.SharedGridStore` and the publishing pool's
-    :class:`CacheStats` (folded into the sweep result, so parent-side
-    computes and transform derivations stay visible).  Chunked-mode
-    cells are skipped — materializing a beyond-budget dense grid in the
-    parent would defeat the point of chunking — as are instance-keyed
-    specs and cells whose curve fails to construct (the worker will
-    report those as skipped).  Publishing reuses a per-universe
-    :class:`ContextPool`, so transform curves' grids are *derived* from
-    their inner curve's arrays instead of evaluated from scratch.
+    ``target`` is the medium between the sweep parent and its workers:
+    a :class:`repro.engine.shm.SharedGridStore` (sweeps without a
+    ``store_dir``) or the sweep's persistent
+    :class:`repro.engine.store.GridStore`.  Returns the publishing
+    pools' :class:`CacheStats` (folded into the sweep result, so
+    parent-side computes and transform derivations stay visible).
+    Chunked-mode cells are skipped — materializing a beyond-budget
+    dense grid in the parent would defeat the point of chunking — as
+    are instance-keyed specs and cells whose curve fails to construct
+    (the worker will report those as skipped).
 
-    Publish policy: **base** specs get the full grid set (key grid,
-    flat keys, inverse permutation) — everything a worker would need a
-    curve evaluation or an ``O(n)`` scatter to rebuild.  **Transform-
-    derived** specs (``curve.inner``) get their key grid only: their
-    flat keys / inverse permutation are a single cheap vector op away
-    from the published grid, so shipping them too would spend more
-    parent time and shared memory than the workers save (workers fall
-    back to computing them *from the zero-copy grid view*, never from
-    a curve evaluation).  The **curve order** array (``(n, d)``, the
-    state behind the windowed dilation metrics) is published exactly
-    when a cell requests an order-consuming metric — workers
-    historically rebuilt it privately per cell, and unconditional
-    publishing would cost ``d×`` the key grid's shared memory on
-    sweeps that never touch it.  Consistent with the grid policy, it
-    is published under the spec's *innermost base* curve only: a
-    transform's order is one vector op away (reverse / reflect /
-    column-permute, see
-    :func:`repro.engine.pool.transform_derivations`), so workers
-    derive it from the base's zero-copy view instead of the parent
-    shipping one ``(n, d)`` segment per family member.
+    Publish policy: every NN stretch metric folds over the key grid
+    alone, so ``key_grid`` is the only per-spec array published.  The
+    flat keys and inverse permutation are one reshape / one scatter
+    away from it, and workers derive them on demand.  The **curve
+    order** (``(n, d)``, the state behind the windowed dilation
+    metrics) is published exactly when a cell requests an
+    order-consuming metric, under the spec's *innermost base* curve
+    only: a transform's order is one vector op away (see
+    :func:`repro.engine.pool.transform_derivations`).
 
-    With a ``store_dir`` the publishing pool is additionally wired to
-    the persistent :class:`repro.engine.store.GridStore`: a warm parent
-    *maps* each grid from disk instead of evaluating curves before
-    copying it into shared memory, and a cold parent's computes are
-    written through for the next run.
+    * **Shared memory** gets every spec's key grid, each copied into
+      its own segment.  A per-universe :class:`ContextPool` derives a
+      transform curve's grid from its inner curve's instead of
+      evaluating it.
+    * **A GridStore** is only *ensured*: an entry whose header is
+      already committed (:meth:`repro.engine.store.GridStore.contains`,
+      no checksum) is left alone, so a warm parent reads no payload.
+      A missing base grid is computed on a pool wired to the same
+      store, whose write-through persists it, so each base grid is
+      computed once even on a cold store.  Transform grids are not
+      stored; workers derive them from the mapped base grid, and every
+      worker read still passes :meth:`repro.engine.store.GridStore.get`'s
+      checksum.
     """
     from repro.engine.shm import SharedGridStore, shared_key
 
-    store = SharedGridStore.create()
+    in_memory = isinstance(target, SharedGridStore)
     stats: List[CacheStats] = []
     pool: Optional[ContextPool] = None
     pool_universe = None
@@ -771,52 +775,35 @@ def _publish_shared(
         metric_texts: _needs_order(metric_texts)
         for metric_texts in {task[3] for task in tasks}
     }
-    try:
-        for task in tasks:
-            d, side, spec_text, chunk_cells = task[0], task[1], task[2], task[9]
-            if chunk_cells is not None:
+    for task in tasks:
+        d, side, spec_text, chunk_cells = task[0], task[1], task[2], task[9]
+        if chunk_cells is not None:
+            continue
+        if pool is None or pool_universe != (d, side):
+            if pool is not None:
+                stats.append(pool.stats)
+            pool = ContextPool(
+                max_bytes=max_bytes, store=None if in_memory else target
+            )
+            pool_universe = (d, side)
+        try:
+            curve = CurveSpec.parse(spec_text).make(Universe(d=d, side=side))
+        except (ValueError, TypeError):
+            continue
+        base = _innermost_base(curve)
+        wanted = [(curve if in_memory else base, "key_grid")]
+        if order_wanted[task[3]]:
+            wanted.append((base, "order"))
+        for owner, kind in wanted:
+            key = shared_key(owner)
+            if key is None or target.contains(key, kind):
                 continue
-            universe = Universe(d=d, side=side)
-            if pool is None or pool_universe != (d, side):
-                if pool is not None:
-                    stats.append(pool.stats)
-                pool = ContextPool(max_bytes=max_bytes, store_dir=store_dir)
-                pool_universe = (d, side)
-            try:
-                curve = CurveSpec.parse(spec_text).make(universe)
-            except (ValueError, TypeError):
-                continue
-            skey = shared_key(curve)
-            if skey is None:
-                continue
-            want_order = order_wanted[task[3]]
-            if (skey, "key_grid") not in store:
-                ctx = pool.get(curve)
-                store.put(skey, "key_grid", ctx.key_grid())
-                if not isinstance(
-                    getattr(curve, "inner", None), SpaceFillingCurve
-                ):
-                    store.put(skey, "flat_keys", ctx.flat_keys())
-                    store.put(
-                        skey, "inverse_perm", ctx.inverse_permutation()
-                    )
-            if want_order:
-                # Publish under the innermost base spec: workers
-                # derive a transform's order from the base view.
-                target = curve
-                while isinstance(
-                    getattr(target, "inner", None), SpaceFillingCurve
-                ):
-                    target = target.inner
-                okey = shared_key(target)
-                if okey is not None and (okey, "order") not in store:
-                    store.put(okey, "order", pool.get(target).order())
-    except BaseException:
-        store.unlink()  # publishing died midway: leak nothing
-        raise
+            array = getattr(pool.get(owner), kind)()
+            if in_memory:
+                target.put(key, kind, array)
     if pool is not None:
         stats.append(pool.stats)
-    return store, CacheStats.aggregate(stats)
+    return CacheStats.aggregate(stats)
 
 
 @dataclass
@@ -840,13 +827,20 @@ class Sweep:
     on the result.
 
     **Process-pool sharing** (``shared``): with ``"auto"`` (the
-    default) or ``True``, a process sweep publishes one grid set per
-    canonical curve spec — key grid, flat keys, inverse permutation —
-    into :class:`repro.engine.shm.SharedGridStore` segments before the
-    executor starts; workers attach zero-copy views instead of
-    recomputing (counted under :attr:`CacheStats.shared`), and the
-    parent unlinks every segment when the sweep finishes, even on
-    worker failure.  Identical (universe, curve, metrics) cells are
+    default) or ``True``, a process sweep publishes each canonical
+    curve spec's key grid (and its curve order, for order metrics)
+    before the executor starts, and workers resolve it instead of
+    recomputing.  Without a ``store_dir`` the grids go into
+    :class:`repro.engine.shm.SharedGridStore` segments that workers
+    attach as zero-copy views (counted under
+    :attr:`CacheStats.shared`); the parent unlinks every segment when
+    the sweep finishes, even on worker failure.  With a ``store_dir``
+    the persistent store is the medium: the parent only ensures each
+    base grid is committed there (a header check; a compute with
+    write-through on a miss), creates no segments and reads no warm
+    payload, and workers map the entries themselves (counted under
+    :attr:`CacheStats.mmap`, each read checksummed).  Identical
+    (universe, curve, metrics) cells are
     deduplicated before any work runs, in every execution mode.
     ``shared=False`` keeps workers fully private — each cell rebuilds
     its grids, and a warning flags the bypassed pooling unless
@@ -897,9 +891,10 @@ class Sweep:
     pooled: bool = True
     chunk_cells: Optional[int] = None
     max_bytes: Optional[int] = DEFAULT_CACHE_BYTES
-    #: Shared-memory grid store policy for process sweeps: ``"auto"``
-    #: (share whenever ``processes`` > 1), ``True`` (same, stated
-    #: explicitly) or ``False`` (fully private workers).
+    #: Grid sharing policy for process sweeps: ``"auto"`` (share
+    #: whenever ``processes`` > 1), ``True`` (same, stated explicitly)
+    #: or ``False`` (fully private workers).  Grids travel through
+    #: shared memory, or through the ``store_dir`` store when given.
     shared: Union[bool, str] = "auto"
     #: Worker threads per cell for block-parallel metric reductions:
     #: ``None`` (serial), a positive int, or ``"auto"`` — which sizes
@@ -916,11 +911,13 @@ class Sweep:
     backend: str = "auto"
     #: Directory of a persistent :class:`repro.engine.store.GridStore`
     #: (``repro sweep --store``), or ``None``.  Every execution mode
-    #: threads it through: serial pools, shared-mode publishing parents
-    #: and process workers all resolve grid intermediates from (and
-    #: write them through to) the same on-disk artifacts, counted in
-    #: :attr:`CacheStats.mmap`.  Values are bit-for-bit identical with
-    #: and without a store; only where the bytes come from changes.
+    #: threads it through: serial pools and process workers resolve
+    #: grid intermediates from (and write them through to) the same
+    #: on-disk artifacts, counted in :attr:`CacheStats.mmap`.  A
+    #: sharing process sweep hands its grids to the workers through
+    #: this store instead of shared memory.  Values are bit-for-bit
+    #: identical with and without a store; only where the bytes come
+    #: from changes.
     store_dir: Optional[str] = None
 
     def resolve_thread_count(self) -> int:
@@ -1063,44 +1060,51 @@ class Sweep:
                     RuntimeWarning,
                     stacklevel=2,
                 )
-            store = None
+            segments = None
             parent_stats: List[CacheStats] = []
             initializer = None
             initargs = ()
-            if shared_active:
-                store, publish_stats = _publish_shared(
-                    unique_tasks,
-                    self.max_bytes,
-                    store_dir=(
-                        None if self.store_dir is None
-                        else str(self.store_dir)
-                    ),
-                )
-                parent_stats.append(publish_stats)
-                initializer = _worker_attach_shared
-                initargs = (store.manifest(),)
-            # fork() in a multi-threaded parent is hazardous (a child
-            # inherits lock state from threads it does not have): join
-            # any idle block-scheduler workers left by earlier threaded
-            # contexts before the executor forks.  Schedulers rebuild
-            # their pools lazily on next use.
-            from repro.engine.threads import quiesce_schedulers
-
-            quiesce_schedulers()
             try:
+                if shared_active:
+                    if self.store_dir is not None:
+                        # The persistent store is the medium: workers
+                        # map its entries themselves, so the parent
+                        # copies nothing and reads no warm payload.
+                        from repro.engine.store import GridStore
+
+                        target = GridStore(str(self.store_dir))
+                    else:
+                        from repro.engine.shm import SharedGridStore
+
+                        target = segments = SharedGridStore.create()
+                    parent_stats.append(
+                        _publish_shared(unique_tasks, self.max_bytes, target)
+                    )
+                    if segments is not None:
+                        initializer = _worker_attach_shared
+                        initargs = (segments.manifest(),)
+                # fork() in a multi-threaded parent is hazardous (a
+                # child inherits lock state from threads it does not
+                # have): join any idle block-scheduler workers left by
+                # earlier threaded contexts before the executor forks.
+                # Schedulers rebuild their pools lazily on next use.
+                from repro.engine.threads import quiesce_schedulers
+
+                quiesce_schedulers()
                 with ProcessPoolExecutor(
                     max_workers=min(self.processes, len(unique_tasks)),
                     initializer=initializer,
                     initargs=initargs,
                 ) as executor:
-                    pairs = list(
-                        executor.map(_run_cell_with_stats, unique_tasks)
+                    run_cell = partial(
+                        _run_cell_with_stats, shared=shared_active
                     )
+                    pairs = list(executor.map(run_cell, unique_tasks))
             finally:
-                # Unlink even when a worker raised or died: shared
-                # segments must never outlive the sweep.
-                if store is not None:
-                    store.unlink()
+                # Unlink even when publishing failed midway or a worker
+                # raised or died: segments must never outlive the sweep.
+                if segments is not None:
+                    segments.unlink()
             outcome_of = {
                 task: outcome
                 for task, (outcome, _) in zip(unique_tasks, pairs)

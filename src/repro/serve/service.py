@@ -227,16 +227,11 @@ class SweepService:
             )
             ctx = pool.get(curve)
             skey = shared_key(curve)
-            if skey is not None and (skey, "key_grid") not in self.store:
+            # The key grid alone: every NN stretch metric folds over
+            # it, and flat keys / inverse are one vector op from it
+            # (the process-sweep publish policy).
+            if skey is not None and not self.store.contains(skey, "key_grid"):
                 self.store.put(skey, "key_grid", ctx.key_grid())
-                if getattr(curve, "inner", None) is None:
-                    # Base specs get the full grid set; a transform's
-                    # flat keys / inverse are one vector op from the
-                    # grid (the process-sweep publish policy).
-                    self.store.put(skey, "flat_keys", ctx.flat_keys())
-                    self.store.put(
-                        skey, "inverse_perm", ctx.inverse_permutation()
-                    )
             self._warm_pairs.add((d, side, spec.label))
 
     def run_batch(self, tasks: list) -> list:

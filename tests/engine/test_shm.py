@@ -101,8 +101,8 @@ class TestSharedGridStore:
             assert len(store) == 0
             store.put(("spec",), "key_grid", np.zeros(10, dtype=np.int64))
             assert len(store) == 1
-            assert (("spec",), "key_grid") in store
-            assert (("spec",), "flat_keys") not in store
+            assert store.contains(("spec",), "key_grid")
+            assert not store.contains(("spec",), "flat_keys")
             assert store.nbytes == 80
         finally:
             store.unlink()

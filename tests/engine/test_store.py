@@ -207,3 +207,90 @@ class TestSweepWiring:
             assert [r.values for r in result.records] == [
                 r.values for r in plain.records
             ]
+
+
+#: A process sweep over a base curve, a second base and a transform of
+#: it, with an order-consuming metric beside the NN scalars.
+_STORE_MEDIUM_SWEEP = dict(
+    dims=[2],
+    sides=[16],
+    curves=["z", "hilbert", "reversed:inner=hilbert"],
+    metrics=("davg", "dmax", "nn_mean", "dilation:window=4"),
+    reports=False,
+)
+
+
+def _cells(result):
+    return [(r.spec, r.d, r.side, r.values) for r in result.records]
+
+
+class TestStoreMediumProcessSweep:
+    """With a ``store_dir``, the GridStore carries grids to the workers."""
+
+    def test_warm_parent_reads_nothing_and_copies_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        import os
+
+        from repro.engine.shm import SharedGridStore
+
+        plain = Sweep(**_STORE_MEDIUM_SWEEP).run()
+        Sweep(store_dir=tmp_path, processes=2, **_STORE_MEDIUM_SWEEP).run()
+
+        def no_segments(cls):
+            raise AssertionError("store-backed sweep created shm segments")
+
+        parent = os.getpid()
+        real_get = GridStore.get
+
+        def parent_never_reads(store, *args, **kwargs):
+            # Forked workers inherit this patch; only they may read.
+            if os.getpid() == parent:
+                raise AssertionError("parent read a warm store entry")
+            return real_get(store, *args, **kwargs)
+
+        monkeypatch.setattr(
+            SharedGridStore, "create", classmethod(no_segments)
+        )
+        monkeypatch.setattr(GridStore, "get", parent_never_reads)
+        warm = Sweep(
+            store_dir=tmp_path, processes=2, **_STORE_MEDIUM_SWEEP
+        ).run()
+        assert _cells(warm) == _cells(plain)
+        stats = warm.cache_stats
+        assert stats.mmap_count("key_grid") > 0
+        assert stats.shared == {}
+        assert stats.compute_count("key_grid") == 0
+
+    def test_cold_store_computes_each_base_grid_once(self, tmp_path):
+        plain = Sweep(**_STORE_MEDIUM_SWEEP).run()
+        cold = Sweep(
+            store_dir=tmp_path, processes=2, **_STORE_MEDIUM_SWEEP
+        ).run()
+        assert _cells(cold) == _cells(plain)
+        # z and hilbert; the reversed curve derives from hilbert's grid
+        assert cold.cache_stats.compute_count("key_grid") == 2
+        kinds = {e["kind"] for e in GridStore(tmp_path).entries()}
+        assert kinds == {"key_grid", "order"}
+
+    def test_corrupt_warm_entry_is_rejected_in_the_worker(self, tmp_path):
+        from repro.engine.store import render_key
+
+        plain = Sweep(**_STORE_MEDIUM_SWEEP).run()
+        Sweep(store_dir=tmp_path, processes=2, **_STORE_MEDIUM_SWEEP).run()
+        hkey = shared_key(HilbertCurve(Universe(d=2, side=16)))
+        payload = tmp_path / render_key(hkey) / "key_grid.npy"
+        raw = bytearray(payload.read_bytes())
+        raw[-1] ^= 0xFF  # same size, so only the checksum can tell
+        payload.write_bytes(bytes(raw))
+
+        warm = Sweep(
+            store_dir=tmp_path, processes=2, **_STORE_MEDIUM_SWEEP
+        ).run()
+        assert _cells(warm) == _cells(plain)
+        store = GridStore(tmp_path)
+        assert store.quarantined_count() >= 1
+        np.testing.assert_array_equal(
+            store.get(hkey, "key_grid"),
+            HilbertCurve(Universe(d=2, side=16)).key_grid(),
+        )
